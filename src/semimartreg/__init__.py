@@ -45,8 +45,6 @@ from .select import (
     ou_min_dimension,
     make_shrinkage_config,
     shrink,
-    improved_cost,
-    improved_select,
 )
 from .risk import (
     RiskReport,

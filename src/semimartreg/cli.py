@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -47,7 +48,7 @@ from .risk import (
     oracle_report,
     robust_risk,
 )
-from .select import SelectionConfig, improved_select, make_shrinkage_config, model_select
+from .select import SelectionConfig, make_shrinkage_config
 from .signal import Signal, SobolevBallSpec, sample_sobolev
 
 COMMANDS = ("simulate", "estimate", "oracle-check", "improve-check", "efficiency-sweep")
@@ -57,8 +58,12 @@ EXIT_CONFIG = 2
 EXIT_RUNTIME = 3
 
 
-class ConfigError(ValueError):
-    """Configuration file is syntactically or semantically invalid."""
+class ConfigError(Exception):
+    """Configuration file is syntactically or semantically invalid.
+
+    Not a ValueError, so the handlers that turn a constructor's ValueError
+    into a field message pass an already named field through unchanged.
+    """
 
 
 def _fail(path: str, message: str) -> "ConfigError":
@@ -66,6 +71,8 @@ def _fail(path: str, message: str) -> "ConfigError":
 
 
 def _get(d: dict, key: str, path: str, required: bool = True, default=None):
+    if not isinstance(d, dict):
+        raise _fail(path, f"expected an object, got {d!r}")
     if key not in d:
         if required:
             raise _fail(f"{path}.{key}" if path else key, "missing")
@@ -76,6 +83,8 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
 def _num(value, path: str, *, lo=None, hi=None, integer=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise _fail(path, f"expected a finite number, got {value!r}")
     if integer and int(value) != value:
         raise _fail(path, f"expected an integer, got {value!r}")
     if lo is not None and value < lo:
@@ -122,8 +131,6 @@ def parse_noise_spec(d: dict, path: str) -> NoiseSpec:
                 tau_dist=tau_dist,
                 y_dist=d.get("y_dist", "rademacher"),
             )
-    except ConfigError:
-        raise
     except ValueError as exc:
         raise _fail(path, str(exc)) from exc
     raise _fail(f"{path}.family", f"unknown family {family!r}")
@@ -167,6 +174,8 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(
             f"config {path!r} is not valid JSON: line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
     return validate_config(data, hashlib.sha256(raw).hexdigest())
@@ -210,9 +219,11 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
         noise = parse_noise_spec(data["noise"], "noise")
     if "noise_family" in data:
         fam = data["noise_family"]
+        specs = _get(fam, "members", "noise_family")
+        if not isinstance(specs, list):
+            raise _fail("noise_family.members", f"expected a list, got {specs!r}")
         members = tuple(
-            parse_noise_spec(m, f"noise_family.members[{i}]")
-            for i, m in enumerate(_get(fam, "members", "noise_family"))
+            parse_noise_spec(m, f"noise_family.members[{i}]") for i, m in enumerate(specs)
         )
         try:
             family = RobustFamily(
@@ -264,6 +275,7 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
             if v <= prev and i > 0:
                 raise _fail("efficiency.n_values", "must be strictly increasing")
             prev = v
+        _num(efficiency.get("n_signals", 3), "efficiency.n_signals", lo=0, integer=True)
 
     if J > n * M / 4:
         raise _fail("J", f"J={J} exceeds the anti-aliasing ceiling n*M/4={n * M / 4:g}")
@@ -335,14 +347,6 @@ def _emit_tables(record: dict, tables: list, out_dir: str, fmt: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _noise_kind(spec: NoiseSpec) -> str:
-    if isinstance(spec, LevySpec):
-        return "levy"
-    if isinstance(spec, OuSpec):
-        return "ou"
-    return "semimarkov"
-
-
 def _robustness_bounds(cfg: ExperimentConfig):
     """(sigma_star, rho_lower, a_max) from the family, or nominal values of
     the single configured spec."""
@@ -361,13 +365,12 @@ def _selection_parts(cfg: ExperimentConfig, improved: bool):
     if not sigma_star > 0:
         raise ConfigError("config field 'noise': nominal proxy variance must be > 0 "
                           "for selection experiments")
-    kind = _noise_kind(cfg.primary_noise())
     grid = build_grid_for(cfg.n, sigma_star)
     J = max(cfg.J, grid.max_support())
     shrink_cfg = None
     if improved:
         shrink_cfg = make_shrinkage_config(
-            kind, grid, cfg.n, sigma_star, rho_lower, a_max=a_max,
+            cfg.primary_noise().family, grid, cfg.n, sigma_star, rho_lower, a_max=a_max,
             d=cfg.shrinkage_overrides.get("d"),
             r_star=cfg.shrinkage_overrides.get("r_star"),
             l_star_override=cfg.shrinkage_overrides.get("l_star"),
@@ -422,24 +425,16 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) ->
 
 def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> dict:
     """Selection diagnostics on replication 0, for the run record."""
-    rng = derive_rng(cfg.seed, 0)
-    noise = simulate(cfg.primary_noise(), cfg.n, cfg.M, rng)
-    path = simulate_observations(cfg.signal, noise)
-    theta = estimate_fourier(path, pipeline.config.J).theta_hat
-    sigma = pipeline.sigma_for(path)
-    if pipeline.shrink_cfg is None:
-        res = model_select(theta, pipeline.grid, pipeline.config, sigma)
-        c_n, d_shrink = 0.0, None
-    else:
-        res = improved_select(theta, pipeline.grid, pipeline.config, sigma, pipeline.shrink_cfg)
-        c_n, d_shrink = pipeline.shrink_cfg.c_n, pipeline.shrink_cfg.d
+    noise = simulate(cfg.primary_noise(), cfg.n, cfg.M, derive_rng(cfg.seed, 0))
+    res = pipeline.select(simulate_observations(cfg.signal, noise))
+    shrink_cfg = pipeline.shrink_cfg
     return {
         "alpha": list(res.weights.alpha),
         "omega": res.weights.omega,
         "d": res.weights.d,
         "lambda": res.weights.lam.tolist(),
-        "c_n": c_n,
-        "d_shrink": d_shrink,
+        "c_n": 0.0 if shrink_cfg is None else shrink_cfg.c_n,
+        "d_shrink": None if shrink_cfg is None else shrink_cfg.d,
         "sigma_hat": res.sigma_hat,
         "degenerate_shrinkage": res.degenerate_shrinkage,
     }
@@ -537,22 +532,16 @@ def main(argv=None) -> int:
                 cfg.seed = int(env_seed)
             except ValueError as exc:
                 raise ConfigError(f"SEMIMART_SEED must be an integer, got {env_seed!r}") from exc
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    try:
+        os.makedirs(args.out_dir, exist_ok=True)
         record = HANDLERS[args.command](cfg, args.out_dir, args.format, max(1, args.workers))
+        record_path = os.path.join(args.out_dir, f"{args.command.replace('-', '_')}_record.json")
+        _write_json(record_path, record)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
+    except Exception as exc:  # every other failure keeps the documented exit code 3
+        print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-    record_path = os.path.join(args.out_dir, f"{args.command.replace('-', '_')}_record.json")
-    _write_json(record_path, record)
     print(record_path)
     return EXIT_OK
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
@@ -56,6 +56,7 @@ class LevySpec:
     jumps are mean zero, so the compensator drops out of the increments.
     """
 
+    family: ClassVar[str] = "levy"
     rho1: float
     rho2: float
     jump_intensity: float = 1.0
@@ -79,6 +80,7 @@ class LevySpec:
 class OuSpec:
     """Mean-reverting noise dxi = a*xi dt + du driven by a Levy process."""
 
+    family: ClassVar[str] = "ou"
     a: float
     a_max: float
     driving: LevySpec
@@ -128,6 +130,7 @@ class SemiMarkovSpec:
     so L has unit variance per unit time for every rho_check.
     """
 
+    family: ClassVar[str] = "semimarkov"
     rho1: float
     rho2: float
     rho_check: float

@@ -8,7 +8,6 @@ period of M cells, which keeps estimation cheap even with j running up to n.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -44,13 +43,6 @@ class ObservationPath:
             raise ValueError("observation increments must be finite")
         object.__setattr__(self, "dy", arr)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "dy"])
-            for i, dy in enumerate(self.dy):
-                writer.writerow([repr((i + 0.5) / self.M), repr(float(dy))])
-
 
 @dataclass(frozen=True)
 class FourierEstimates:
@@ -68,36 +60,19 @@ class FourierEstimates:
             raise ValueError("estimates must be finite")
         object.__setattr__(self, "theta_hat", arr)
 
-    def to_json(self) -> str:
-        import json
 
-        return json.dumps({"n": self.n, "J": self.J, "theta_hat": self.theta_hat.tolist()})
-
-
-def signal_increments(signal: Signal, n: int, M: int, quad_per_cell: int = 1) -> np.ndarray:
-    """Deterministic part of dy: per-cell midpoint integrals of S.
-
-    With quad_per_cell sub-midpoints the cell integral is the midpoint rule at
-    M*quad_per_cell points per unit time; one sub-point is already spectrally
-    accurate once the basis frequencies stay below the grid Nyquist limit.
-    """
-    if quad_per_cell < 1:
-        raise ValueError("quad_per_cell must be >= 1")
-    q = int(quad_per_cell)
-    t = (np.arange(n * M * q) + 0.5) / (M * q)
-    vals = synthesize(signal, t)
-    if q == 1:
-        return vals / M
-    return vals.reshape(n * M, q).mean(axis=1) / M
+def signal_increments(signal: Signal, n: int, M: int) -> np.ndarray:
+    """Deterministic part of dy: the midpoint rule for the integral of S over
+    each cell, S at the cell midpoint times the width 1/M."""
+    t = (np.arange(n * M) + 0.5) / M
+    return synthesize(signal, t) / M
 
 
-def simulate_observations(
-    signal: Signal, noise: NoisePath, quad_per_cell: int = 1
-) -> ObservationPath:
+def simulate_observations(signal: Signal, noise: NoisePath) -> ObservationPath:
     """dy_i = integral of S over cell i plus the noise increment."""
     if noise.increments.size != noise.n * noise.M:
         raise ValueError("noise grid does not match its declared (n, M)")
-    det = signal_increments(signal, noise.n, noise.M, quad_per_cell)
+    det = signal_increments(signal, noise.n, noise.M)
     return ObservationPath(det + noise.increments, noise.n, noise.M)
 
 

@@ -12,13 +12,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .noise import NoiseSpec, RobustFamily, LevySpec, OuSpec, SemiMarkovSpec, derive_rng, simulate
+from .noise import NoiseSpec, RobustFamily, derive_rng, simulate
 from .observe import (
     ObservationPath,
     estimate_fourier,
@@ -27,15 +27,18 @@ from .observe import (
 )
 from .select import (
     SelectionConfig,
+    SelectionResult,
     ShrinkageConfig,
     WeightGrid,
     WeightVector,
     build_weight_grid,
-    improved_select,
     make_shrinkage_config,
     model_select,
     shrink,
 )
+# model_select under its former name: mcbench/bench_trace.py wraps
+# risk.improved_select by name and fails if it is missing.
+from .select import improved_select  # noqa: F401
 from .signal import Signal, ellipsoid_coeffs, sample_sobolev, SobolevBallSpec
 
 __all__ = [
@@ -155,25 +158,21 @@ class FixedWeightPipeline:
 
 @dataclass(frozen=True)
 class SelectionPipeline:
-    """Full data-driven selection, optionally with the shrunk head."""
+    """Full data-driven selection, with the shrunk head when shrink_cfg is set."""
 
     grid: WeightGrid
     config: SelectionConfig
     shrink_cfg: Optional[ShrinkageConfig] = None
 
-    def sigma_for(self, path: ObservationPath) -> float:
-        if self.config.sigma_known is not None:
-            return self.config.sigma_known
-        return estimate_variance_proxy(path)
+    def select(self, path: ObservationPath) -> SelectionResult:
+        theta = estimate_fourier(path, self.config.J).theta_hat
+        sigma = self.config.sigma_known
+        if sigma is None:
+            sigma = estimate_variance_proxy(path)
+        return model_select(theta, self.grid, self.config, sigma, self.shrink_cfg)
 
     def __call__(self, path: ObservationPath) -> np.ndarray:
-        theta = estimate_fourier(path, self.config.J).theta_hat
-        sigma = self.sigma_for(path)
-        if self.shrink_cfg is None:
-            result = model_select(theta, self.grid, self.config, sigma)
-        else:
-            result = improved_select(theta, self.grid, self.config, sigma, self.shrink_cfg)
-        return result.signal.coeffs
+        return self.select(path).signal.coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -207,13 +206,12 @@ class _RepSetup:
     n: int
     M: int
     master_seed: int
-    stream: tuple
     det: np.ndarray
     theta_true: np.ndarray
 
 
 def _observe_rep(setup: _RepSetup, rep: int) -> ObservationPath:
-    rng = derive_rng(setup.master_seed, *setup.stream, rep)
+    rng = derive_rng(setup.master_seed, rep)
     noise = simulate(setup.spec, setup.n, setup.M, rng)
     return ObservationPath(setup.det + noise.increments, setup.n, setup.M)
 
@@ -238,15 +236,18 @@ def _mean_se(values: np.ndarray) -> tuple:
     return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def _setup_for(
-    signal: Signal, spec: NoiseSpec, n: int, M: int, master_seed: int,
-    stream: tuple = (), quad_per_cell: int = 1,
-) -> _RepSetup:
-    det = signal_increments(signal, n, M, quad_per_cell)
-    return _RepSetup(
-        spec=spec, n=n, M=M, master_seed=master_seed, stream=stream,
-        det=det, theta_true=signal.coeffs,
-    )
+def _setup_for(signal: Signal, spec: NoiseSpec, n: int, M: int, master_seed: int) -> _RepSetup:
+    det = signal_increments(signal, n, M)
+    return _RepSetup(spec=spec, n=n, M=M, master_seed=master_seed, det=det,
+                     theta_true=signal.coeffs)
+
+
+def _truth_on(theta_true: np.ndarray, J: int) -> tuple:
+    """True coefficients padded or cut to length J, and the energy beyond J."""
+    theta_pad = np.zeros(J)
+    theta_pad[: min(J, theta_true.size)] = theta_true[: min(J, theta_true.size)]
+    tail = float(np.sum(theta_true[J:] ** 2)) if theta_true.size > J else 0.0
+    return theta_pad, tail
 
 
 def monte_carlo_risk(
@@ -319,24 +320,16 @@ def robust_risk(
 def _oracle_rep(
     rep: int,
     setup: _RepSetup,
-    grid: WeightGrid,
-    config: SelectionConfig,
-    shrink_cfg: Optional[ShrinkageConfig],
+    pipeline: SelectionPipeline,
     lam_mat: np.ndarray,
     theta_pad: np.ndarray,
     tail: float,
 ):
-    path = _observe_rep(setup, rep)
-    theta = estimate_fourier(path, config.J).theta_hat
-    sigma = config.sigma_known if config.sigma_known is not None else estimate_variance_proxy(path)
-    if shrink_cfg is None:
-        result = model_select(theta, grid, config, sigma)
-        coeffs = theta
-    else:
-        result = improved_select(theta, grid, config, sigma, shrink_cfg)
-        coeffs, _ = shrink(theta, shrink_cfg)
-    member_risks = np.sum((lam_mat * coeffs[None, :] - theta_pad[None, :]) ** 2, axis=1) + tail
-    return float(member_risks[result.index]), member_risks, float(sigma)
+    result = pipeline.select(_observe_rep(setup, rep))
+    member_risks = np.sum(
+        (lam_mat * result.theta_star[None, :] - theta_pad[None, :]) ** 2, axis=1
+    ) + tail
+    return float(member_risks[result.index]), member_risks, result.sigma_hat
 
 
 def oracle_report(
@@ -361,22 +354,11 @@ def oracle_report(
     if reps < 2:
         raise ValueError("need reps >= 2")
     setup = _setup_for(signal, spec, n, M, master_seed)
-    theta_true = signal.coeffs
-    J = config.J
-    theta_pad = np.zeros(J)
-    theta_pad[: min(J, theta_true.size)] = theta_true[: min(J, theta_true.size)]
-    tail = float(np.sum(theta_true[J:] ** 2)) if theta_true.size > J else 0.0
-    for w in grid.members:
-        if w.lam.size > J and np.any(w.lam[J:] != 0):
-            raise ValueError("grid member has support beyond config.J")
-    lam_mat = np.stack([
-        w.lam[:J] if w.lam.size >= J else np.concatenate([w.lam, np.zeros(J - w.lam.size)])
-        for w in grid.members
-    ])
-
+    theta_pad, tail = _truth_on(signal.coeffs, config.J)
     fn = partial(
-        _oracle_rep, setup=setup, grid=grid, config=config, shrink_cfg=shrink_cfg,
-        lam_mat=lam_mat, theta_pad=theta_pad, tail=tail,
+        _oracle_rep, setup=setup,
+        pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg),
+        lam_mat=grid.matrix(config.J), theta_pad=theta_pad, tail=tail,
     )
     rows = _map_reps(fn, reps, workers)
     sel_risks = np.asarray([row[0] for row in rows])
@@ -460,10 +442,7 @@ def improvement_report(
     J = max(lam.size, shrink_cfg.d)
     if lam.size < J:
         lam = np.concatenate([lam, np.zeros(J - lam.size)])
-    theta_true = signal.coeffs
-    theta_pad = np.zeros(J)
-    theta_pad[: min(J, theta_true.size)] = theta_true[: min(J, theta_true.size)]
-    tail = float(np.sum(theta_true[J:] ** 2)) if theta_true.size > J else 0.0
+    theta_pad, tail = _truth_on(signal.coeffs, J)
 
     setup = _setup_for(signal, spec, n, M, master_seed)
     fn = partial(
@@ -515,10 +494,7 @@ def worst_single_frequency(
         J = grid.max_support() + 8
     a = ellipsoid_coeffs(J, k)
     theta_sq = 0.95 * r / a
-    lam_mat = np.stack([
-        w.lam[:J] if w.lam.size >= J else np.concatenate([w.lam, np.zeros(J - w.lam.size)])
-        for w in grid.members
-    ])
+    lam_mat = grid.matrix(J)
     penalty_term = sigma * np.sum(lam_mat**2, axis=1) / n  # (nu,)
     # member risk for budget at j: (1-lam(j))^2 theta_j^2 + sigma |lam|^2 / n
     risks = (1.0 - lam_mat) ** 2 * theta_sq[None, :] + penalty_term[:, None]
@@ -527,18 +503,6 @@ def worst_single_frequency(
     coeffs = np.zeros(J)
     coeffs[j_star] = math.sqrt(theta_sq[j_star])
     return Signal(coeffs)
-
-
-def _family_kind(family: RobustFamily) -> Optional[str]:
-    kinds = set()
-    for member in family.members:
-        if isinstance(member, LevySpec):
-            kinds.add("levy")
-        elif isinstance(member, OuSpec):
-            kinds.add("ou")
-        elif isinstance(member, SemiMarkovSpec):
-            kinds.add("semimarkov")
-    return kinds.pop() if len(kinds) == 1 else None
 
 
 def efficiency_sweep(
@@ -554,7 +518,8 @@ def efficiency_sweep(
     delta: float = 0.05,
     workers: int = 1,
 ) -> EfficiencyReport:
-    """Normalized worst-case risk of the improved selection at each horizon.
+    """Normalized worst-case risk of the improved selection at each horizon
+    (standard selection when the family mixes noise kinds).
 
     The supremum over the smoothness ball is approximated by the max over
     n_signals sampled boundary signals plus the extremal single-frequency
@@ -565,24 +530,20 @@ def efficiency_sweep(
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
     pinsker = pinsker_constant(k, r)
-    kind = _family_kind(family)
+    kinds = {member.family for member in family.members}
     rows = []
     for i_n, n in enumerate(n_values):
         grid = build_grid_for(n, family.sigma_star)
         support = grid.max_support()
-        config = SelectionConfig(delta=delta, n=n, J=support, sigma_known=family.sigma_star)
-        if kind is None:
-            shrink_cfg = ShrinkageConfig(
-                d=1, l_star=0.0, r_star=math.log(n + 1.0),
-                v_n=n / family.sigma_star, n=n,
-            )
-        else:
+        J = support
+        shrink_cfg = None  # a mixed family has no common contraction bound
+        if len(kinds) == 1:
             shrink_cfg = make_shrinkage_config(
-                kind, grid, n, family.sigma_star, family.rho_lower, a_max=family.a_max,
+                next(iter(kinds)), grid, n, family.sigma_star, family.rho_lower,
+                a_max=family.a_max,
             )
-        if shrink_cfg.d > support:
-            config = SelectionConfig(delta=delta, n=n, J=shrink_cfg.d,
-                                     sigma_known=family.sigma_star)
+            J = max(J, shrink_cfg.d)
+        config = SelectionConfig(delta=delta, n=n, J=J, sigma_known=family.sigma_star)
         pipeline = SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg)
 
         spec_ball = SobolevBallSpec(k=k, r=r)
@@ -627,5 +588,6 @@ def efficiency_sweep(
 def build_grid_for(n: int, sigma_star: float) -> WeightGrid:
     """Grid with weight vectors trimmed to their joint support."""
     full = build_weight_grid(n, sigma_star)
-    support = full.max_support()
-    return build_weight_grid(n, sigma_star, J=max(support, 1))
+    J = max(full.max_support(), 1)
+    members = tuple(replace(w, lam=w.lam[:J].copy()) for w in full.members)
+    return replace(full, members=members)

@@ -1,9 +1,11 @@
-"""Weight grids, penalized cost functions, and model selection.
+"""Weight grids, the penalized cost, and model selection.
 
-Standard selection minimizes J_n over the Pinsker-type grid; improved
-selection first contracts the leading d coefficient estimates toward zero by
-the data-dependent factor 1 - c_n/|head| and then minimizes the matching
-cost J*_n.
+There is one selection path.  `model_select` minimizes the cost J*_n over
+the Pinsker-type grid, where J*_n is built from theta_star, the estimates
+after an optional contraction of the leading d coefficients toward zero by
+the data-dependent factor 1 - c_n/|head|.  Standard selection is the case
+shrink_cfg=None: then theta_star = theta_hat and J*_n is the plain J_n,
+exactly as with a contraction budget c_n = 0.
 """
 
 from __future__ import annotations
@@ -35,9 +37,6 @@ __all__ = [
     "default_shrinkage_dim",
     "make_shrinkage_config",
     "shrink",
-    "improved_cost",
-    "improved_cost_all",
-    "improved_select",
 ]
 
 NOISE_FAMILIES = ("levy", "ou", "semimarkov")
@@ -81,9 +80,10 @@ class WeightGrid:
         if self.nu != len(self.members) or self.nu != self.k_star * self.m:
             raise ValueError("grid cardinality is inconsistent")
 
-    def matrix(self) -> np.ndarray:
-        """Member weights stacked as a (nu, J) array."""
-        return np.stack([w.lam for w in self.members])
+    def matrix(self, J: int) -> np.ndarray:
+        """Member weights truncated or zero-padded to length J, stacked as a
+        (nu, J) array; a member with nonzero weight beyond J is an error."""
+        return np.stack([_aligned(w.lam, J) for w in self.members])
 
     def max_support(self) -> int:
         """Largest index j with a nonzero weight in any member."""
@@ -149,6 +149,7 @@ class SelectionResult:
     index: int
     cost: float
     sigma_hat: float
+    theta_star: np.ndarray  # estimates the cost used; theta_hat without shrinkage
     degenerate_shrinkage: bool = False
 
 
@@ -245,48 +246,72 @@ def penalty(weights, sigma_hat: float, n: int) -> float:
     return float(sigma_hat * np.sum(lam**2) / n)
 
 
-def cost(weights, theta_hat: np.ndarray, sigma_hat: float, delta: float, n: int) -> float:
-    """J_n(lambda) with the cross term replaced by theta_hat^2 - sigma_hat/n."""
+def _cost_rows(lam_mat, theta_hat, sigma_hat, delta, n, theta_star) -> np.ndarray:
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    lam = _aligned(_lam_of(weights), theta_hat.size)
-    theta_tilde = theta_hat**2 - sigma_hat / n
-    quad = float(np.sum(lam**2 * theta_hat**2))
-    cross = float(np.sum(lam * theta_tilde))
-    return quad - 2.0 * cross + delta * penalty(weights, sigma_hat, n)
-
-
-def cost_all(
-    grid: WeightGrid, theta_hat: np.ndarray, sigma_hat: float, delta: float, n: int
-) -> np.ndarray:
-    """J_n over every grid member at once."""
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    lam_mat = np.stack([_aligned(w.lam, theta_hat.size) for w in grid.members])
+    theta_star = theta_hat if theta_star is None else np.asarray(theta_star, dtype=np.float64)
     lam_sq = lam_mat**2
-    theta_tilde = theta_hat**2 - sigma_hat / n
+    theta_bar = theta_star * theta_hat - sigma_hat / n
     return (
-        lam_sq @ (theta_hat**2)
-        - 2.0 * (lam_mat @ theta_tilde)
+        lam_sq @ (theta_star**2)
+        - 2.0 * (lam_mat @ theta_bar)
         + delta * sigma_hat * lam_sq.sum(axis=1) / n
     )
 
 
+def cost(
+    weights, theta_hat: np.ndarray, sigma_hat: float, delta: float, n: int,
+    theta_star: Optional[np.ndarray] = None,
+) -> float:
+    """J*_n(lambda) = |lambda theta_star|^2 - 2 sum lambda (theta_star theta_hat
+    - sigma_hat/n) + delta P_n(lambda).
+
+    theta_star defaults to theta_hat, which gives the standard J_n.
+    """
+    lam = _aligned(_lam_of(weights), np.asarray(theta_hat).size)
+    return float(_cost_rows(lam[None, :], theta_hat, sigma_hat, delta, n, theta_star)[0])
+
+
+def cost_all(
+    grid: WeightGrid, theta_hat: np.ndarray, sigma_hat: float, delta: float, n: int,
+    theta_star: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """`cost` over every grid member at once."""
+    lam_mat = grid.matrix(np.asarray(theta_hat).size)
+    return _cost_rows(lam_mat, theta_hat, sigma_hat, delta, n, theta_star)
+
+
 def model_select(
-    theta_hat: np.ndarray, grid: WeightGrid, config: SelectionConfig, sigma_hat: float
+    theta_hat: np.ndarray,
+    grid: WeightGrid,
+    config: SelectionConfig,
+    sigma_hat: float,
+    shrink_cfg: Optional[ShrinkageConfig] = None,
 ) -> SelectionResult:
-    """Pick the first J_n minimizer in grid order and assemble the estimate."""
+    """Shrink the head if shrink_cfg is given, pick the first J*_n minimizer
+    in grid order and assemble the estimate from the (shrunk) estimates."""
     if not grid.members:
         raise ValueError("weight grid is empty")
-    costs = cost_all(grid, theta_hat, sigma_hat, config.delta, config.n)
+    theta_hat = np.asarray(theta_hat, dtype=np.float64)
+    theta_star, degenerate = theta_hat, False
+    if shrink_cfg is not None:
+        theta_star, degenerate = shrink(theta_hat, shrink_cfg)
+    costs = cost_all(grid, theta_hat, sigma_hat, config.delta, config.n, theta_star)
     idx = int(np.argmin(costs))
     w = grid.members[idx]
-    est = _aligned(w.lam, np.asarray(theta_hat).size) * theta_hat
     return SelectionResult(
         weights=w,
-        signal=Signal(est),
+        signal=Signal(_aligned(w.lam, theta_star.size) * theta_star),
         index=idx,
         cost=float(costs[idx]),
         sigma_hat=float(sigma_hat),
+        theta_star=theta_star,
+        degenerate_shrinkage=degenerate,
     )
+
+
+# Former name of the shrunk selection; mcbench/bench_trace.py still wraps
+# risk.improved_select by name, so the alias stays.  Not a second path.
+improved_select = model_select
 
 
 def ou_min_dimension(a_max: float) -> int:
@@ -382,66 +407,3 @@ def shrink(theta_hat: np.ndarray, cfg: ShrinkageConfig):
         return out, True
     out[: cfg.d] *= 1.0 - cfg.c_n / head_norm
     return out, False
-
-
-def improved_cost(
-    weights,
-    theta_star: np.ndarray,
-    theta_hat: np.ndarray,
-    sigma_hat: float,
-    delta: float,
-    n: int,
-) -> float:
-    """J*_n(lambda) with the cross term theta_star*theta_hat - sigma_hat/n."""
-    theta_star = np.asarray(theta_star, dtype=np.float64)
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    lam = _aligned(_lam_of(weights), theta_star.size)
-    theta_bar = theta_star * theta_hat - sigma_hat / n
-    quad = float(np.sum(lam**2 * theta_star**2))
-    cross = float(np.sum(lam * theta_bar))
-    return quad - 2.0 * cross + delta * penalty(weights, sigma_hat, n)
-
-
-def improved_cost_all(
-    grid: WeightGrid,
-    theta_star: np.ndarray,
-    theta_hat: np.ndarray,
-    sigma_hat: float,
-    delta: float,
-    n: int,
-) -> np.ndarray:
-    theta_star = np.asarray(theta_star, dtype=np.float64)
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    lam_mat = np.stack([_aligned(w.lam, theta_star.size) for w in grid.members])
-    lam_sq = lam_mat**2
-    theta_bar = theta_star * theta_hat - sigma_hat / n
-    return (
-        lam_sq @ (theta_star**2)
-        - 2.0 * (lam_mat @ theta_bar)
-        + delta * sigma_hat * lam_sq.sum(axis=1) / n
-    )
-
-
-def improved_select(
-    theta_hat: np.ndarray,
-    grid: WeightGrid,
-    config: SelectionConfig,
-    sigma_hat: float,
-    shrink_cfg: ShrinkageConfig,
-) -> SelectionResult:
-    """Shrink the head, minimize J*_n over the grid, build the estimate."""
-    if not grid.members:
-        raise ValueError("weight grid is empty")
-    theta_star, degenerate = shrink(theta_hat, shrink_cfg)
-    costs = improved_cost_all(grid, theta_star, theta_hat, sigma_hat, config.delta, config.n)
-    idx = int(np.argmin(costs))
-    w = grid.members[idx]
-    est = _aligned(w.lam, theta_star.size) * theta_star
-    return SelectionResult(
-        weights=w,
-        signal=Signal(est),
-        index=idx,
-        cost=float(costs[idx]),
-        sigma_hat=float(sigma_hat),
-        degenerate_shrinkage=degenerate,
-    )

@@ -36,7 +36,6 @@ from semimartreg.risk import (
 )
 from semimartreg.select import (
     SelectionConfig,
-    improved_select,
     make_shrinkage_config,
     model_select,
     shrink,
@@ -178,7 +177,7 @@ def _paired_selection(signal, spec, n, M, grid, cfg, shrink_cfg, reps, seed):
         th = estimate_fourier(path, J).theta_hat
         sigma = cfg.sigma_known if cfg.sigma_known is not None else estimate_variance_proxy(path)
         std_res = model_select(th, grid, cfg, sigma)
-        imp_res = improved_select(th, grid, cfg, sigma, shrink_cfg)
+        imp_res = model_select(th, grid, cfg, sigma, shrink_cfg)
         risk_std = float(np.sum((std_res.signal.coeffs - tp) ** 2)) + tail
         risk_imp = float(np.sum((imp_res.signal.coeffs - tp) ** 2)) + tail
         diffs[rep] = risk_imp - risk_std
@@ -263,7 +262,7 @@ def test_criterion_8_bruteforce_equivalence():
         brute = [jn(w.lam, th, sigma, delta, n) for w in grid.members]
         if std.index != int(np.argmin(brute)):
             mismatches += 1
-        imp = improved_select(th, grid, cfg, sigma, shrink_cfg)
+        imp = model_select(th, grid, cfg, sigma, shrink_cfg)
         ts, _ = shrink(th, shrink_cfg)
         brute_imp = [jn_star(w.lam, ts, th, sigma, delta, n) for w in grid.members]
         if imp.index != int(np.argmin(brute_imp)):

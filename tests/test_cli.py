@@ -3,6 +3,9 @@
 import json
 import math
 
+import pytest
+
+from semimartreg import cli
 from semimartreg.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, main
 
 
@@ -229,6 +232,40 @@ class TestValidation:
         assert run(["improve-check", "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_RUNTIME
         assert "r_star" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise", 5),
+        ("noise_family", {"members": 5, "rho_lower": 0.5, "sigma_star": 1.0}),
+        ("noise_family", {"members": [5], "rho_lower": 0.5, "sigma_star": 1.0}),
+        ("noise", {"family": "semimarkov", "rho1": 1.0, "rho2": 0.0, "rho_check": 0.5,
+                   "tau_dist": 5}),
+        ("signal", {"sobolev": 1}),
+        ("signal", {"sobolev": {"k": "x", "r": 1.0}}),
+        ("reps", float("nan")),
+        ("efficiency", {"k": 1, "r": 1.0, "n_values": [10, 20], "n_signals": "3"}),
+    ])
+    def test_wrongly_shaped_config_is_a_config_error(self, tmp_path, capsys, field, value):
+        cfg = write_config(tmp_path, "shape.json", {
+            "signal": {"coeffs": [1.0]},
+            "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.0},
+            "n": 10,
+            field: value,
+        })
+        assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config field '{field}" in err
+        assert err.count("config field") == 1
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("missing")])
+    def test_unexpected_handler_error_exit_code(self, tmp_path, capsys, monkeypatch, exc):
+        def handler(*args):
+            raise exc
+
+        monkeypatch.setitem(cli.HANDLERS, "simulate", handler)
+        cfg = zero_noise_config(tmp_path)
+        assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith(f"runtime error: {type(exc).__name__}")
 
     def test_unknown_family(self, tmp_path):
         cfg = write_config(tmp_path, "bad4.json", {

@@ -36,14 +36,6 @@ class TestSimulateObservations:
         path = simulate_observations(sig, zero_noise(1, 256))
         assert abs(path.dy.sum()) < 1e-8
 
-    def test_quad_per_cell_refinement_consistent(self):
-        # per-cell midpoint error is O(M^-3 * S''), ~4e-6 at M=64 here
-        sig = Signal(np.array([0.3, 0.4, -0.2]))
-        a = signal_increments(sig, 2, 64, quad_per_cell=1)
-        b = signal_increments(sig, 2, 64, quad_per_cell=8)
-        assert np.max(np.abs(a - b)) < 1e-5
-        assert a.sum() == pytest.approx(b.sum(), abs=1e-12)
-
     def test_grid_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ObservationPath(np.zeros(10), n=2, M=16)

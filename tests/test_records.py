@@ -1,0 +1,71 @@
+"""Golden records: every file the CLI writes, compared byte for byte.
+
+Each case runs one command on one config at a reduced --reps with
+--workers 1, in both table formats, and compares every file written with
+the copy under tests/golden/<case>/<format>/.  The three shipped configs
+are covered, plus two under tests/golden/configs/ that reach the shrunk
+selection (an improved oracle check and estimate) and the mixed-family
+sweep, which runs standard selection.
+
+A change that must leave the numbers alone keeps these files as they are.
+A change that alters the numbers on purpose regenerates them, from the
+repository root, and says in its description why they moved:
+
+    PYTHONPATH=src python tests/test_records.py
+"""
+
+import pathlib
+import shutil
+import sys
+
+import pytest
+
+from semimartreg.cli import EXIT_OK, main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+FORMATS = ("csv", "json")
+
+# case -> (command, config relative to the repository root, reps)
+CASES = {
+    "oracle_check": ("oracle-check", "configs/oracle_levy_n100.json", 40),
+    "improve_check": ("improve-check", "configs/improve_levy_d10.json", 200),
+    "efficiency_sweep": ("efficiency-sweep", "configs/efficiency_k1.json", 4),
+    "oracle_check_improved": ("oracle-check", "tests/golden/configs/oracle_improved.json", 40),
+    "estimate_improved": ("estimate", "tests/golden/configs/oracle_improved.json", 20),
+    "efficiency_sweep_mixed": ("efficiency-sweep", "tests/golden/configs/efficiency_mixed.json", 4),
+}
+
+
+def run_case(case: str, fmt: str, out_dir: pathlib.Path) -> int:
+    command, config, reps = CASES[case]
+    return main([command, "--config", str(ROOT / config), "--reps", str(reps),
+                 "--workers", "1", "--format", fmt, "--out-dir", str(out_dir)])
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_outputs_match_golden(case, fmt, tmp_path, capsys):
+    assert run_case(case, fmt, tmp_path) == EXIT_OK
+    golden = GOLDEN / case / fmt
+    expected = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in tmp_path.iterdir()) == expected
+    for name in expected:
+        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+
+
+def regenerate() -> int:
+    for case in CASES:
+        for fmt in FORMATS:
+            out = GOLDEN / case / fmt
+            shutil.rmtree(out, ignore_errors=True)
+            out.mkdir(parents=True)
+            rc = run_case(case, fmt, out)
+            if rc != EXIT_OK:
+                print(f"{case} ({fmt}) exited {rc}", file=sys.stderr)
+                return rc
+    return EXIT_OK
+
+
+if __name__ == "__main__":
+    sys.exit(regenerate())

@@ -140,6 +140,13 @@ class TestOracleReport:
         assert report.oracle_holds
         assert report.oracle_factor == pytest.approx(1.15 / 0.85)
 
+    def test_config_J_below_grid_support_rejected(self):
+        grid = build_grid_for(50, 1.0)
+        cfg = SelectionConfig(delta=0.05, n=50, J=grid.max_support() - 1, sigma_known=1.0)
+        with pytest.raises(ValueError, match="support beyond"):
+            oracle_report(Signal(np.array([0.4])), LevySpec(1.0, 0.0), grid, cfg, 4, 1,
+                          n=50, M=64)
+
     def test_singleton_grid_reduces_to_member(self):
         from semimartreg.select import build_weight_grid
 
@@ -153,7 +160,7 @@ class TestOracleReport:
     def test_selection_pipeline_matches_manual_selection(self):
         from semimartreg.noise import derive_rng, simulate
         from semimartreg.observe import simulate_observations
-        from semimartreg.select import model_select, improved_select
+        from semimartreg.select import model_select
         from semimartreg.observe import estimate_fourier, estimate_variance_proxy
 
         spec = LevySpec(0.7, 0.5)
@@ -174,7 +181,7 @@ class TestOracleReport:
         improved = SelectionPipeline(grid=grid, config=cfg, shrink_cfg=shrink_cfg)
         np.testing.assert_array_equal(
             improved(path),
-            improved_select(theta, grid, cfg, sigma, shrink_cfg).signal.coeffs,
+            model_select(theta, grid, cfg, sigma, shrink_cfg).signal.coeffs,
         )
 
     def test_determinism(self):

@@ -11,8 +11,6 @@ from semimartreg.select import (
     WeightVector,
     build_weight_grid,
     cost,
-    improved_cost,
-    improved_select,
     l_star,
     make_shrinkage_config,
     minimax_rate_vn,
@@ -81,6 +79,20 @@ class TestWeightGrid:
         alphas = [w.alpha for w in grid.members]
         assert alphas == sorted(alphas)
 
+    def test_matrix_pads_and_truncates(self):
+        grid = build_weight_grid(60, 1.0)
+        support = grid.max_support()
+        assert 1 < support < 60
+        full = np.stack([w.lam for w in grid.members])
+        np.testing.assert_array_equal(grid.matrix(60), full)
+        np.testing.assert_array_equal(grid.matrix(support), full[:, :support])
+        padded = grid.matrix(70)
+        assert padded.shape == (grid.nu, 70)
+        np.testing.assert_array_equal(padded[:, :60], full)
+        assert not padded[:, 60:].any()
+        with pytest.raises(ValueError, match="support beyond"):
+            grid.matrix(support - 1)
+
     def test_weight_vector_validation(self):
         with pytest.raises(ValueError):
             WeightVector(lam=np.array([0.5, 1.0]), alpha=(1, 1.0), omega=2.0, d=0)
@@ -126,13 +138,7 @@ class TestPenaltyAndCost:
                 lam[j] ** 2 * ts[j] ** 2 - 2 * lam[j] * (ts[j] * th[j] - sigma / n)
                 for j in range(J)
             ) + delta * sigma * sum(l * l for l in lam) / n
-            assert improved_cost(lam, ts, th, sigma, delta, n) == pytest.approx(brute, rel=1e-12)
-
-    def test_improved_cost_coincides_without_shrinkage(self):
-        rng = np.random.default_rng(10)
-        lam = np.sort(rng.uniform(size=8))[::-1]
-        th = rng.normal(size=8)
-        assert improved_cost(lam, th, th, 0.5, 0.1, 50) == cost(lam, th, 0.5, 0.1, 50)
+            assert cost(lam, th, sigma, delta, n, theta_star=ts) == pytest.approx(brute, rel=1e-12)
 
     def test_support_beyond_estimates_rejected(self):
         lam = np.array([1.0, 0.5, 0.5])
@@ -265,7 +271,7 @@ class TestImprovedSelect:
         shrink_cfg = ShrinkageConfig(d=4, l_star=0.0, r_star=2.0, v_n=50.0, n=50)
         th = rng.normal(size=12)
         a = model_select(th, grid, cfg, 0.8)
-        b = improved_select(th, grid, cfg, 0.8, shrink_cfg)
+        b = model_select(th, grid, cfg, 0.8, shrink_cfg)
         assert a.index == b.index
         np.testing.assert_array_equal(a.signal.coeffs, b.signal.coeffs)
 
@@ -276,9 +282,10 @@ class TestImprovedSelect:
         shrink_cfg = ShrinkageConfig(d=6, l_star=3.0, r_star=4.0, v_n=80.0, n=80)
         for _ in range(10):
             th = rng.normal(size=20)
-            res = improved_select(th, grid, cfg, 0.6, shrink_cfg)
+            res = model_select(th, grid, cfg, 0.6, shrink_cfg)
             ts, _ = shrink(th, shrink_cfg)
-            brute = [improved_cost(w, ts, th, 0.6, cfg.delta, cfg.n) for w in grid.members]
+            np.testing.assert_array_equal(res.theta_star, ts)
+            brute = [cost(w, th, 0.6, cfg.delta, cfg.n, theta_star=ts) for w in grid.members]
             assert res.index == int(np.argmin(brute))
 
     def test_degenerate_head_falls_back(self):
@@ -287,7 +294,7 @@ class TestImprovedSelect:
         shrink_cfg = ShrinkageConfig(d=4, l_star=1.0, r_star=2.0, v_n=50.0, n=50)
         th = np.concatenate([np.zeros(4), np.array([1.0, 0.5]), np.zeros(6)])
         a = model_select(th, grid, cfg, 0.3)
-        b = improved_select(th, grid, cfg, 0.3, shrink_cfg)
+        b = model_select(th, grid, cfg, 0.3, shrink_cfg)
         assert b.degenerate_shrinkage
         assert a.index == b.index
         np.testing.assert_array_equal(a.signal.coeffs, b.signal.coeffs)
