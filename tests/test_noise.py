@@ -215,8 +215,11 @@ class TestRobustFamily:
         assert len(fam.members) == 2
 
     def test_rejects_low_rho(self):
-        with pytest.raises(ValueError):
-            RobustFamily(members=(LevySpec(0.5, 0.0),), rho_lower=0.5, sigma_star=1.0)
+        # an OU member is bounded through its driving noise
+        for member in (LevySpec(0.5, 0.0),
+                       OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.5, 0.0))):
+            with pytest.raises(ValueError, match="rho1"):
+                RobustFamily(members=(member,), rho_lower=0.5, sigma_star=1.0)
 
     def test_rejects_large_sigma(self):
         with pytest.raises(ValueError):

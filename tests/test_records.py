@@ -4,14 +4,18 @@ Each case runs one command on one config at a reduced --reps with
 --workers 1, in both table formats, and compares every file written with
 the copy under tests/golden/<case>/<format>/.  The three shipped configs
 are covered, plus two under tests/golden/configs/ that reach the shrunk
-selection (an improved oracle check and estimate) and the mixed-family
-sweep, which runs standard selection.
+selection (an improved oracle check and estimate), the mixed-family
+sweep, which runs standard selection, and the robust risk of an estimate
+over that mixed family.  The cases in POOLED run again at --workers 2
+against the same files, since the worker count must not move a byte.
 
 A change that must leave the numbers alone keeps these files as they are.
 A change that alters the numbers on purpose regenerates them, from the
 repository root, and says in its description why they moved:
 
-    PYTHONPATH=src python tests/test_records.py
+    PYTHONPATH=src python tests/test_records.py [CASE ...]
+
+Named cases are regenerated alone; with no name, every case is.
 """
 
 import pathlib
@@ -34,28 +38,47 @@ CASES = {
     "oracle_check_improved": ("oracle-check", "tests/golden/configs/oracle_improved.json", 40),
     "estimate_improved": ("estimate", "tests/golden/configs/oracle_improved.json", 20),
     "efficiency_sweep_mixed": ("efficiency-sweep", "tests/golden/configs/efficiency_mixed.json", 4),
+    "estimate_mixed": ("estimate", "tests/golden/configs/efficiency_mixed.json", 20),
 }
+# cases that also run through the process pool
+POOLED = ("efficiency_sweep_mixed", "estimate_mixed")
 
 
-def run_case(case: str, fmt: str, out_dir: pathlib.Path) -> int:
+def run_case(case: str, fmt: str, out_dir: pathlib.Path, workers: int = 1) -> int:
     command, config, reps = CASES[case]
     return main([command, "--config", str(ROOT / config), "--reps", str(reps),
-                 "--workers", "1", "--format", fmt, "--out-dir", str(out_dir)])
+                 "--workers", str(workers), "--format", fmt, "--out-dir", str(out_dir)])
+
+
+def assert_matches_golden(case: str, fmt: str, out_dir: pathlib.Path) -> None:
+    golden = GOLDEN / case / fmt
+    expected = sorted(p.name for p in golden.iterdir())
+    assert sorted(p.name for p in out_dir.iterdir()) == expected
+    for name in expected:
+        assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
 
 
 @pytest.mark.parametrize("fmt", FORMATS)
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden(case, fmt, tmp_path, capsys):
     assert run_case(case, fmt, tmp_path) == EXIT_OK
-    golden = GOLDEN / case / fmt
-    expected = sorted(p.name for p in golden.iterdir())
-    assert sorted(p.name for p in tmp_path.iterdir()) == expected
-    for name in expected:
-        assert (tmp_path / name).read_bytes() == (golden / name).read_bytes(), name
+    assert_matches_golden(case, fmt, tmp_path)
 
 
-def regenerate() -> int:
-    for case in CASES:
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("case", POOLED)
+def test_two_workers_match_golden(case, fmt, tmp_path, capsys):
+    assert run_case(case, fmt, tmp_path, workers=2) == EXIT_OK
+    assert_matches_golden(case, fmt, tmp_path)
+
+
+def regenerate(cases) -> int:
+    unknown = sorted(set(cases) - set(CASES))
+    if unknown:
+        print(f"unknown case(s) {', '.join(unknown)}; known: {', '.join(CASES)}",
+              file=sys.stderr)
+        return 2
+    for case in cases or CASES:
         for fmt in FORMATS:
             out = GOLDEN / case / fmt
             shutil.rmtree(out, ignore_errors=True)
@@ -68,4 +91,4 @@ def regenerate() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(regenerate())
+    sys.exit(regenerate(sys.argv[1:]))

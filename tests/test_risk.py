@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from semimartreg.noise import LevySpec, RobustFamily, derive_rng
+from semimartreg.noise import (
+    LevySpec,
+    OuSpec,
+    RobustFamily,
+    SemiMarkovSpec,
+    TauDist,
+    derive_rng,
+)
 from semimartreg.risk import (
     FixedWeightPipeline,
     ProjectionPipeline,
@@ -115,6 +122,23 @@ class TestRobustRisk:
         assert a.mean_risk == b.mean_risk
         assert a.std_error == b.std_error
         assert a.argmax_member == 0
+        # every member of a larger family, on the pool too, is its own
+        # Monte Carlo risk: members share the replication streams
+        fam = RobustFamily(
+            members=(LevySpec(1.0, 0.0),
+                     OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6)),
+                     SemiMarkovSpec(0.6, 0.5, 0.5, TauDist.exponential(1.0))),
+            rho_lower=0.36, sigma_star=1.0,
+        )
+        for workers in (1, 2):
+            a = robust_risk(sig, fam, ProjectionPipeline(m=2), 20, 5, n=8, M=32,
+                            workers=workers)
+            for k, member in enumerate(fam.members):
+                b = monte_carlo_risk(sig, member, ProjectionPipeline(m=2), 20, 5,
+                                     n=8, M=32, workers=workers)
+                assert a.member_risks[k] == b.mean_risk
+                assert a.member_std_errors[k] == b.std_error
+            assert a.mean_risk == max(a.member_risks)
 
     def test_dominated_member_identified(self):
         # oracle: projection risk scales with sigma_Q, so the larger-sigma
