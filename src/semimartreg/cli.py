@@ -354,8 +354,7 @@ def _robustness_bounds(cfg: ExperimentConfig):
         return cfg.family.sigma_star, cfg.family.rho_lower, cfg.family.a_max
     spec = cfg.noise
     sigma_star = nominal_sigma(spec)
-    rho1 = spec.driving.rho1 if isinstance(spec, OuSpec) else spec.rho1
-    rho_lower = rho1**2 if rho1 > 0 else 1e-6
+    rho_lower = spec.rho1**2 if spec.rho1 > 0 else 1e-6
     a_max = spec.a_max if isinstance(spec, OuSpec) else 1.0
     return sigma_star, rho_lower, a_max
 

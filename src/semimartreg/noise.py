@@ -13,7 +13,6 @@ where path is the tuple of loop indices.  `derive_rng` implements this rule.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
@@ -91,6 +90,11 @@ class OuSpec:
         if not (-self.a_max <= self.a <= 0):
             raise ValueError(f"a must lie in [-{self.a_max}, 0], got {self.a}")
 
+    @property
+    def rho1(self) -> float:
+        """Brownian weight of the driving noise, the one rho_lower bounds."""
+        return self.driving.rho1
+
 
 @dataclass(frozen=True)
 class TauDist:
@@ -167,14 +171,6 @@ class NoisePath:
             raise ValueError("noise increments must be finite")
         object.__setattr__(self, "increments", arr)
 
-    def to_csv(self, path) -> None:
-        """Dump (t, d_xi) rows, t at cell midpoints."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "d_xi"])
-            for i, dx in enumerate(self.increments):
-                writer.writerow([repr((i + 0.5) / self.M), repr(float(dx))])
-
 
 @dataclass(frozen=True)
 class RobustFamily:
@@ -197,8 +193,7 @@ class RobustFamily:
         if not (0 < self.rho_lower):
             raise ValueError("rho_lower must be > 0")
         for i, spec in enumerate(members):
-            rho1 = spec.driving.rho1 if isinstance(spec, OuSpec) else spec.rho1
-            if rho1**2 < self.rho_lower - 1e-12:
+            if spec.rho1**2 < self.rho_lower - 1e-12:
                 raise ValueError(f"member {i}: rho1^2 < rho_lower")
             if nominal_sigma(spec) > self.sigma_star + 1e-12:
                 raise ValueError(f"member {i}: nominal sigma exceeds sigma_star")

@@ -6,13 +6,19 @@ Replications are embarrassingly parallel; every replication derives its own
 counter-based stream from (master_seed, replication index), so results are
 bit-identical regardless of worker count.  The improvement report evaluates
 both estimators on the same replication paths (common random numbers).
+
+A risk report is one Monte Carlo table of replicates x signals x members:
+the robust risk fills one table over the family members, and the
+efficiency sweep one per horizon over every signal and member.  Each table
+is one map over replicate indices, and the function it maps reaches each
+pool worker once, when the worker starts.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -83,12 +89,7 @@ class RiskReport:
     identity_max_dev: Optional[float] = None
 
     def to_dict(self) -> dict:
-        out = {}
-        for key, val in self.__dict__.items():
-            if isinstance(val, tuple):
-                val = list(val)
-            out[key] = val
-        return out
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -114,14 +115,7 @@ class EfficiencyReport:
     rows: tuple
 
     def to_dict(self) -> dict:
-        return {
-            "k": self.k,
-            "r": self.r,
-            "pinsker": self.pinsker,
-            "reps": self.reps,
-            "master_seed": self.master_seed,
-            "rows": [row.__dict__.copy() for row in self.rows],
-        }
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
@@ -202,44 +196,77 @@ def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray, tail_norm: float = 0.
 
 @dataclass(frozen=True)
 class _RepSetup:
-    spec: NoiseSpec
+    """Noise members, and per signal its deterministic increments and truth."""
+
+    specs: tuple
     n: int
     M: int
     master_seed: int
-    det: np.ndarray
-    theta_true: np.ndarray
+    dets: tuple
+    truths: tuple
 
 
-def _observe_rep(setup: _RepSetup, rep: int) -> ObservationPath:
+def _setup_for(signals, specs, n: int, M: int, master_seed: int) -> _RepSetup:
+    return _RepSetup(
+        specs=tuple(specs), n=n, M=M, master_seed=master_seed,
+        dets=tuple(signal_increments(sig, n, M) for sig in signals),
+        truths=tuple(sig.coeffs for sig in signals),
+    )
+
+
+def _observe_rep(setup: _RepSetup, rep: int, k: int, s: int) -> ObservationPath:
+    """Replicate rep of signal s under member k; members share the stream."""
     rng = derive_rng(setup.master_seed, rep)
-    noise = simulate(setup.spec, setup.n, setup.M, rng)
-    return ObservationPath(setup.det + noise.increments, setup.n, setup.M)
+    noise = simulate(setup.specs[k], setup.n, setup.M, rng)
+    return ObservationPath(setup.dets[s] + noise.increments, setup.n, setup.M)
 
 
-def _risk_rep(rep: int, setup: _RepSetup, pipeline) -> float:
-    path = _observe_rep(setup, rep)
-    return l2_risk_exact(pipeline(path), setup.theta_true)
+def _risk_rep(rep: int, setup: _RepSetup, pipeline) -> np.ndarray:
+    """Exact risks of replicate rep, as a (signals, members) array."""
+    return np.array([
+        [l2_risk_exact(pipeline(_observe_rep(setup, rep, k, s)), truth)
+         for k in range(len(setup.specs))]
+        for s, truth in enumerate(setup.truths)
+    ])
+
+
+# The function a pool maps, set once in each worker by its initializer, so
+# that the set-up arrays it carries are not pickled again with every chunk.
+_worker_fn: Optional[Callable] = None
+
+
+def _init_worker(fn: Callable) -> None:
+    global _worker_fn
+    _worker_fn = fn
+
+
+def _call_worker(rep: int):
+    return _worker_fn(rep)
 
 
 def _map_reps(fn: Callable, reps: int, workers: int) -> list:
+    if reps < 2:
+        raise ValueError("need reps >= 2")
     if workers <= 1:
         return [fn(rep) for rep in range(reps)]
     chunk = max(1, reps // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, range(reps), chunksize=chunk))
+    with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
+                             initargs=(fn,)) as pool:
+        return list(pool.map(_call_worker, range(reps), chunksize=chunk))
 
 
 def _mean_se(values: np.ndarray) -> tuple:
-    mean = float(np.mean(values))
-    if values.size < 2:
-        return mean, 0.0
-    return mean, float(np.std(values, ddof=1) / math.sqrt(values.size))
+    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
 
 
-def _setup_for(signal: Signal, spec: NoiseSpec, n: int, M: int, master_seed: int) -> _RepSetup:
-    det = signal_increments(signal, n, M)
-    return _RepSetup(spec=spec, n=n, M=M, master_seed=master_seed, det=det,
-                     theta_true=signal.coeffs)
+def _risk_stats(signals, specs, pipeline, reps, master_seed, n, M, workers) -> tuple:
+    """Mean and standard error of the exact risk of every (signal, member)
+    column of one (reps, signals, members) table, as two arrays."""
+    setup = _setup_for(signals, specs, n, M, master_seed)
+    table = np.stack(_map_reps(partial(_risk_rep, setup=setup, pipeline=pipeline), reps, workers))
+    stats = np.array([[_mean_se(table[:, s, k]) for k in range(table.shape[2])]
+                      for s in range(table.shape[1])])
+    return stats[..., 0], stats[..., 1]
 
 
 def _truth_on(theta_true: np.ndarray, J: int) -> tuple:
@@ -263,13 +290,9 @@ def monte_carlo_risk(
     estimator_id: str = "estimator",
 ) -> RiskReport:
     """Mean and standard error of the exact risk over independent replications."""
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    setup = _setup_for(signal, spec, n, M, master_seed)
-    risks = np.asarray(_map_reps(partial(_risk_rep, setup=setup, pipeline=pipeline), reps, workers))
-    mean, se = _mean_se(risks)
+    means, ses = _risk_stats((signal,), (spec,), pipeline, reps, master_seed, n, M, workers)
     return RiskReport(
-        estimator_id=estimator_id, mean_risk=mean, std_error=se,
+        estimator_id=estimator_id, mean_risk=float(means[0, 0]), std_error=float(ses[0, 0]),
         reps=reps, master_seed=master_seed,
     )
 
@@ -288,26 +311,20 @@ def robust_risk(
 ) -> RiskReport:
     """Worst Monte Carlo risk across the family members.
 
-    Members share the per-replication streams (common seeds), so a singleton
-    family reproduces monte_carlo_risk exactly.
+    Members share the per-replication streams (common seeds), so each
+    member's risk is its monte_carlo_risk exactly.
     """
-    reports = [
-        monte_carlo_risk(
-            signal, member, pipeline, reps, master_seed,
-            n=n, M=M, workers=workers, estimator_id=estimator_id,
-        )
-        for member in family.members
-    ]
-    means = [rep.mean_risk for rep in reports]
-    worst = int(np.argmax(means))
+    means, ses = _risk_stats((signal,), family.members, pipeline, reps, master_seed, n, M,
+                             workers)
+    worst = int(np.argmax(means[0]))
     return RiskReport(
         estimator_id=estimator_id,
-        mean_risk=means[worst],
-        std_error=reports[worst].std_error,
+        mean_risk=float(means[0, worst]),
+        std_error=float(ses[0, worst]),
         reps=reps,
         master_seed=master_seed,
-        member_risks=tuple(means),
-        member_std_errors=tuple(rep.std_error for rep in reports),
+        member_risks=tuple(float(x) for x in means[0]),
+        member_std_errors=tuple(float(x) for x in ses[0]),
         argmax_member=worst,
     )
 
@@ -325,7 +342,7 @@ def _oracle_rep(
     theta_pad: np.ndarray,
     tail: float,
 ):
-    result = pipeline.select(_observe_rep(setup, rep))
+    result = pipeline.select(_observe_rep(setup, rep, 0, 0))
     member_risks = np.sum(
         (lam_mat * result.theta_star[None, :] - theta_pad[None, :]) ** 2, axis=1
     ) + tail
@@ -351,19 +368,14 @@ def oracle_report(
     the residual estimate is the clamped excess (LHS - principal) * delta * n,
     the empirical stand-in for the rest term of the oracle inequality.
     """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
-    setup = _setup_for(signal, spec, n, M, master_seed)
+    setup = _setup_for((signal,), (spec,), n, M, master_seed)
     theta_pad, tail = _truth_on(signal.coeffs, config.J)
     fn = partial(
         _oracle_rep, setup=setup,
         pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg),
         lam_mat=grid.matrix(config.J), theta_pad=theta_pad, tail=tail,
     )
-    rows = _map_reps(fn, reps, workers)
-    sel_risks = np.asarray([row[0] for row in rows])
-    member_risks = np.stack([row[1] for row in rows])
-    sigmas = np.asarray([row[2] for row in rows])
+    sel_risks, member_risks, sigmas = map(np.asarray, zip(*_map_reps(fn, reps, workers)))
 
     lhs, lhs_se = _mean_se(sel_risks)
     member_means = member_risks.mean(axis=0)
@@ -402,7 +414,7 @@ def _improvement_rep(
     theta_pad: np.ndarray,
     tail: float,
 ):
-    path = _observe_rep(setup, rep)
+    path = _observe_rep(setup, rep, 0, 0)
     theta = estimate_fourier(path, lam.size).theta_hat
     theta_star, degenerate = shrink(theta, shrink_cfg)
     risk_hat = float(np.sum((lam * theta - theta_pad) ** 2)) + tail
@@ -434,8 +446,6 @@ def improvement_report(
     estimates E[risk(shrunk) - risk(plain)], to be compared with -c_n^2.
     The improvement guarantee needs ||S|| <= r*, enforced here.
     """
-    if reps < 2:
-        raise ValueError("need reps >= 2")
     if math.sqrt(signal.norm_sq()) > shrink_cfg.r_star:
         raise ValueError("signal norm exceeds r_star; improvement bound hypothesis fails")
     lam = weights.lam if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
@@ -444,15 +454,12 @@ def improvement_report(
         lam = np.concatenate([lam, np.zeros(J - lam.size)])
     theta_pad, tail = _truth_on(signal.coeffs, J)
 
-    setup = _setup_for(signal, spec, n, M, master_seed)
+    setup = _setup_for((signal,), (spec,), n, M, master_seed)
     fn = partial(
         _improvement_rep, setup=setup, lam=lam, shrink_cfg=shrink_cfg,
         theta_pad=theta_pad, tail=tail,
     )
-    rows = _map_reps(fn, reps, workers)
-    star = np.asarray([row[0] for row in rows])
-    plain = np.asarray([row[1] for row in rows])
-    devs = np.asarray([row[2] for row in rows])
+    star, plain, devs = map(np.asarray, zip(*_map_reps(fn, reps, workers)))
     diffs = star - plain
     delta_hat, delta_se = _mean_se(diffs)
     mean, se = _mean_se(star)
@@ -553,18 +560,11 @@ def efficiency_sweep(
         ]
         signals.append(worst_single_frequency(grid, k, r, family.sigma_star, n, J=config.J))
 
-        sup_risk, sup_se = -math.inf, 0.0
-        argmax_signal, argmax_member = 0, 0
-        for i_s, sig in enumerate(signals):
-            report = robust_risk(
-                sig, family, pipeline, reps, master_seed,
-                n=n, M=M, workers=workers, estimator_id="improved_selection",
-            )
-            if report.mean_risk > sup_risk:
-                sup_risk = report.mean_risk
-                sup_se = report.std_error
-                argmax_signal = i_s
-                argmax_member = report.argmax_member or 0
+        means, ses = _risk_stats(signals, family.members, pipeline, reps, master_seed, n, M,
+                                 workers)
+        # the first maximum in (signal, member) order
+        i_s, i_m = np.unravel_index(int(np.argmax(means)), means.shape)
+        sup_risk, sup_se = float(means[i_s, i_m]), float(ses[i_s, i_m])
         v_n = n / family.sigma_star
         normalization = v_n ** (2.0 * k / (2 * k + 1))
         rows.append(
@@ -576,8 +576,8 @@ def efficiency_sweep(
                 sup_se=sup_se,
                 normalized=normalization * sup_risk,
                 ratio=normalization * sup_risk / pinsker,
-                argmax_signal=argmax_signal,
-                argmax_member=argmax_member,
+                argmax_signal=int(i_s),
+                argmax_member=int(i_m),
             )
         )
     return EfficiencyReport(

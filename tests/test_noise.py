@@ -235,14 +235,6 @@ class TestNoisePath:
         with pytest.raises(ValueError):
             NoisePath(np.zeros(10), n=2, M=16)
 
-    def test_csv_roundtrip(self, tmp_path):
-        path = simulate_levy(LevySpec(1.0, 0.0), 2, 16, derive_rng(1, 0))
-        out = tmp_path / "noise.csv"
-        path.to_csv(out)
-        rows = out.read_text().strip().splitlines()
-        assert rows[0] == "t,d_xi"
-        assert len(rows) == 33
-
 
 class TestDeriveRng:
     def test_deterministic(self):
