@@ -480,7 +480,7 @@ def cmd_efficiency_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str, workers:
         delta=cfg.delta, workers=workers,
     )
     record = {**_provenance(cfg, "efficiency-sweep"), "report": report.to_dict()}
-    rows = [[row.n, "improved_selection", row.sup_risk, row.sup_se, row.ratio,
+    rows = [[row.n, report.estimator_id, row.sup_risk, row.sup_se, row.ratio,
              cfg.config_hash[:16]] for row in report.rows]
     _emit_tables(record,
                  [("efficiency", ["n", "estimator", "risk", "se", "ratio", "config_hash"], rows)],

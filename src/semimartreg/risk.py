@@ -107,6 +107,7 @@ class EfficiencyRow:
 
 @dataclass(frozen=True)
 class EfficiencyReport:
+    estimator_id: str
     k: int
     r: float
     pinsker: float
@@ -538,6 +539,7 @@ def efficiency_sweep(
         raise ValueError("n_values must be strictly increasing")
     pinsker = pinsker_constant(k, r)
     kinds = {member.family for member in family.members}
+    estimator_id = "improved_selection" if len(kinds) == 1 else "selection"
     rows = []
     for i_n, n in enumerate(n_values):
         grid = build_grid_for(n, family.sigma_star)
@@ -580,9 +582,8 @@ def efficiency_sweep(
                 argmax_member=int(i_m),
             )
         )
-    return EfficiencyReport(
-        k=k, r=r, pinsker=pinsker, reps=reps, master_seed=master_seed, rows=tuple(rows)
-    )
+    return EfficiencyReport(estimator_id=estimator_id, k=k, r=r, pinsker=pinsker, reps=reps,
+                            master_seed=master_seed, rows=tuple(rows))
 
 
 def build_grid_for(n: int, sigma_star: float) -> WeightGrid:

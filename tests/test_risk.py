@@ -320,6 +320,18 @@ class TestEfficiencySweep:
         assert report.rows[0].normalization == pytest.approx(50 ** (2.0 / 3.0))
         assert report.rows[1].v_n == 100.0
 
+    def test_estimator_label_follows_family_kinds(self):
+        # a family that mixes noise kinds runs no shrinkage
+        levy = RobustFamily(members=(LevySpec(1.0, 0.0), LevySpec(0.8, 0.6)),
+                            rho_lower=0.6, sigma_star=1.0)
+        mixed = RobustFamily(
+            members=(LevySpec(1.0, 0.0), OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6))),
+            rho_lower=0.6, sigma_star=1.0,
+        )
+        for fam, label in ((levy, "improved_selection"), (mixed, "selection")):
+            report = efficiency_sweep(1, 1.0, fam, [50], 2, 3, M=64, n_signals=1)
+            assert report.estimator_id == label
+
     def test_normalization_matches_reference(self):
         # v_n = n at sigma_star = 1; exponent 2k/(2k+1) = 2/3 at k = 1
         assert 400 ** (2.0 / 3.0) == pytest.approx(54.288, abs=1e-2)
