@@ -379,8 +379,8 @@ def oracle_report(
     sel_risks, member_risks, sigmas = map(np.asarray, zip(*_map_reps(fn, reps, workers)))
 
     lhs, lhs_se = _mean_se(sel_risks)
-    member_means = member_risks.mean(axis=0)
-    member_ses = member_risks.std(axis=0, ddof=1) / math.sqrt(reps)
+    member_stats = np.array([_mean_se(column) for column in member_risks.T])
+    member_means, member_ses = member_stats[:, 0], member_stats[:, 1]
     factor = (1.0 + 3.0 * config.delta) / (1.0 - 3.0 * config.delta)
     principal = factor * float(member_means.min())
     residual = max(0.0, lhs - principal) * config.delta * n

@@ -6,7 +6,8 @@ the copy under tests/golden/<case>/<format>/.  The three shipped configs
 are covered, plus two under tests/golden/configs/ that reach the shrunk
 selection (an improved oracle check and estimate), the mixed-family
 sweep, which runs standard selection, and the robust risk of an estimate
-over that mixed family.  The cases in POOLED run again at --workers 2
+over that mixed family and over the Levy, OU and semi-Markov members of
+the benchmark's sweep family.  The cases in POOLED run again at --workers 2
 against the same files, since the worker count must not move a byte.
 
 A change that must leave the numbers alone keeps these files as they are.
@@ -39,9 +40,10 @@ CASES = {
     "estimate_improved": ("estimate", "tests/golden/configs/oracle_improved.json", 20),
     "efficiency_sweep_mixed": ("efficiency-sweep", "tests/golden/configs/efficiency_mixed.json", 4),
     "estimate_mixed": ("estimate", "tests/golden/configs/efficiency_mixed.json", 20),
+    "estimate_three_kinds": ("estimate", "tests/golden/configs/family_three_kinds.json", 20),
 }
 # cases that also run through the process pool
-POOLED = ("efficiency_sweep_mixed", "estimate_mixed")
+POOLED = ("efficiency_sweep_mixed", "estimate_mixed", "estimate_three_kinds")
 
 
 def run_case(case: str, fmt: str, out_dir: pathlib.Path, workers: int = 1) -> int:
