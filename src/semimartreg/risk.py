@@ -4,14 +4,18 @@ generators behind the oracle, improvement and efficiency experiments.
 
 Replications are embarrassingly parallel; every replication derives its own
 counter-based stream from (master_seed, replication index), so results are
-bit-identical regardless of worker count.  The improvement report evaluates
-both estimators on the same replication paths (common random numbers).
+bit-identical regardless of worker count.
 
-A risk report is one Monte Carlo table of replicates x signals x members:
-the robust risk fills one table over the family members, and the
-efficiency sweep one per horizon over every signal and member.  Each table
-is one map over replicate indices, and the function it maps reaches each
-pool worker once, when the worker starts.
+Every report is one Monte Carlo table of replicates x signals x members x
+score columns.  A score turns one observed path and the true coefficients
+into one row of numbers: the exact risk of an estimate (Monte Carlo and
+robust risk, the efficiency sweep), the selected risk with the risk of
+each grid member and sigma-hat (oracle report), or the shrunk risk with the
+paired shrunk - plain difference and the head-norm identity error
+(improvement report).  Members share the replication streams (common
+random numbers), so the columns of a table are paired.  A table is one map
+over replicate indices, whose function reaches each pool worker once, when
+the worker starts, and `_mean_se` reduces every column of it alike.
 """
 
 from __future__ import annotations
@@ -175,19 +179,17 @@ class SelectionPipeline:
 # ---------------------------------------------------------------------------
 
 
-def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray, tail_norm: float = 0.0) -> float:
-    """Squared L2 distance by Parseval: padded coefficient difference plus the
-    analytic energy of any true coefficients beyond the represented range."""
+def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray) -> float:
+    """Squared L2 distance by Parseval: the coefficient difference, with the
+    shorter of the two sequences padded by zeros."""
     est = np.asarray(est, dtype=np.float64)
     theta_true = np.asarray(theta_true, dtype=np.float64)
-    if tail_norm < 0:
-        raise ValueError("tail_norm must be >= 0")
     L = max(est.size, theta_true.size)
     e = np.zeros(L)
     t = np.zeros(L)
     e[: est.size] = est
     t[: theta_true.size] = theta_true
-    return float(np.sum((e - t) ** 2) + tail_norm)
+    return float(np.sum((e - t) ** 2))
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +224,11 @@ def _observe_rep(setup: _RepSetup, rep: int, k: int, s: int) -> ObservationPath:
     return ObservationPath(setup.dets[s] + noise.increments, setup.n, setup.M)
 
 
-def _risk_rep(rep: int, setup: _RepSetup, pipeline) -> np.ndarray:
-    """Exact risks of replicate rep, as a (signals, members) array."""
+def _score_rep(rep: int, setup: _RepSetup, score: Callable) -> np.ndarray:
+    """Scores of replicate rep, as a (signals, members, columns) array;
+    score(path, truth) gives the row of one path."""
     return np.array([
-        [l2_risk_exact(pipeline(_observe_rep(setup, rep, k, s)), truth)
-         for k in range(len(setup.specs))]
+        [score(_observe_rep(setup, rep, k, s), truth) for k in range(len(setup.specs))]
         for s, truth in enumerate(setup.truths)
     ])
 
@@ -256,26 +258,24 @@ def _map_reps(fn: Callable, reps: int, workers: int) -> list:
         return list(pool.map(_call_worker, range(reps), chunksize=chunk))
 
 
-def _mean_se(values: np.ndarray) -> tuple:
-    return float(np.mean(values)), float(np.std(values, ddof=1) / math.sqrt(values.size))
-
-
-def _risk_stats(signals, specs, pipeline, reps, master_seed, n, M, workers) -> tuple:
-    """Mean and standard error of the exact risk of every (signal, member)
-    column of one (reps, signals, members) table, as two arrays."""
+def _score_table(signals, specs, score: Callable, reps, master_seed, n, M, workers) -> np.ndarray:
+    """The (reps, signals, members, columns) table of one experiment."""
     setup = _setup_for(signals, specs, n, M, master_seed)
-    table = np.stack(_map_reps(partial(_risk_rep, setup=setup, pipeline=pipeline), reps, workers))
-    stats = np.array([[_mean_se(table[:, s, k]) for k in range(table.shape[2])]
-                      for s in range(table.shape[1])])
-    return stats[..., 0], stats[..., 1]
+    return np.stack(_map_reps(partial(_score_rep, setup=setup, score=score), reps, workers))
 
 
-def _truth_on(theta_true: np.ndarray, J: int) -> tuple:
-    """True coefficients padded or cut to length J, and the energy beyond J."""
-    theta_pad = np.zeros(J)
-    theta_pad[: min(J, theta_true.size)] = theta_true[: min(J, theta_true.size)]
-    tail = float(np.sum(theta_true[J:] ** 2)) if theta_true.size > J else 0.0
-    return theta_pad, tail
+def _mean_se(table: np.ndarray) -> tuple:
+    """Mean and standard error over the replicates (axis 0) of every column.
+
+    Each column is reduced as its own contiguous 1-D array: an axis-0
+    reduction of the table would add in another order and move the last
+    bits of the records."""
+    columns = np.ascontiguousarray(np.moveaxis(table, 0, -1))
+    return columns.mean(axis=-1), columns.std(axis=-1, ddof=1) / math.sqrt(table.shape[0])
+
+
+def _pipeline_risk(path: ObservationPath, truth: np.ndarray, pipeline) -> list:
+    return [l2_risk_exact(pipeline(path), truth)]
 
 
 def monte_carlo_risk(
@@ -291,9 +291,10 @@ def monte_carlo_risk(
     estimator_id: str = "estimator",
 ) -> RiskReport:
     """Mean and standard error of the exact risk over independent replications."""
-    means, ses = _risk_stats((signal,), (spec,), pipeline, reps, master_seed, n, M, workers)
+    score = partial(_pipeline_risk, pipeline=pipeline)
+    means, ses = _mean_se(_score_table((signal,), (spec,), score, reps, master_seed, n, M, workers))
     return RiskReport(
-        estimator_id=estimator_id, mean_risk=float(means[0, 0]), std_error=float(ses[0, 0]),
+        estimator_id=estimator_id, mean_risk=float(means[0, 0, 0]), std_error=float(ses[0, 0, 0]),
         reps=reps, master_seed=master_seed,
     )
 
@@ -315,17 +316,19 @@ def robust_risk(
     Members share the per-replication streams (common seeds), so each
     member's risk is its monte_carlo_risk exactly.
     """
-    means, ses = _risk_stats((signal,), family.members, pipeline, reps, master_seed, n, M,
-                             workers)
-    worst = int(np.argmax(means[0]))
+    score = partial(_pipeline_risk, pipeline=pipeline)
+    means, ses = _mean_se(_score_table((signal,), family.members, score, reps, master_seed, n,
+                                       M, workers))
+    means, ses = means[0, :, 0], ses[0, :, 0]
+    worst = int(np.argmax(means))
     return RiskReport(
         estimator_id=estimator_id,
-        mean_risk=float(means[0, worst]),
-        std_error=float(ses[0, worst]),
+        mean_risk=float(means[worst]),
+        std_error=float(ses[worst]),
         reps=reps,
         master_seed=master_seed,
-        member_risks=tuple(float(x) for x in means[0]),
-        member_std_errors=tuple(float(x) for x in ses[0]),
+        member_risks=tuple(float(x) for x in means),
+        member_std_errors=tuple(float(x) for x in ses),
         argmax_member=worst,
     )
 
@@ -335,19 +338,12 @@ def robust_risk(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_rep(
-    rep: int,
-    setup: _RepSetup,
-    pipeline: SelectionPipeline,
-    lam_mat: np.ndarray,
-    theta_pad: np.ndarray,
-    tail: float,
-):
-    result = pipeline.select(_observe_rep(setup, rep, 0, 0))
-    member_risks = np.sum(
-        (lam_mat * result.theta_star[None, :] - theta_pad[None, :]) ** 2, axis=1
-    ) + tail
-    return float(member_risks[result.index]), member_risks, result.sigma_hat
+def _oracle_score(path: ObservationPath, truth: np.ndarray, pipeline: SelectionPipeline,
+                  lam_mat: np.ndarray) -> list:
+    """Selected risk, the risk of every grid member, and sigma-hat."""
+    result = pipeline.select(path)
+    member_risks = [l2_risk_exact(lam * result.theta_star, truth) for lam in lam_mat]
+    return [member_risks[result.index], *member_risks, result.sigma_hat]
 
 
 def oracle_report(
@@ -369,18 +365,14 @@ def oracle_report(
     the residual estimate is the clamped excess (LHS - principal) * delta * n,
     the empirical stand-in for the rest term of the oracle inequality.
     """
-    setup = _setup_for((signal,), (spec,), n, M, master_seed)
-    theta_pad, tail = _truth_on(signal.coeffs, config.J)
-    fn = partial(
-        _oracle_rep, setup=setup,
-        pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg),
-        lam_mat=grid.matrix(config.J), theta_pad=theta_pad, tail=tail,
+    score = partial(
+        _oracle_score, pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg),
+        lam_mat=grid.matrix(config.J),
     )
-    sel_risks, member_risks, sigmas = map(np.asarray, zip(*_map_reps(fn, reps, workers)))
-
-    lhs, lhs_se = _mean_se(sel_risks)
-    member_stats = np.array([_mean_se(column) for column in member_risks.T])
-    member_means, member_ses = member_stats[:, 0], member_stats[:, 1]
+    means, ses = _mean_se(_score_table((signal,), (spec,), score, reps, master_seed, n, M, workers))
+    means, ses = means[0, 0], ses[0, 0]
+    lhs, lhs_se = float(means[0]), float(ses[0])
+    member_means, member_ses = means[1:-1], ses[1:-1]
     factor = (1.0 + 3.0 * config.delta) / (1.0 - 3.0 * config.delta)
     principal = factor * float(member_means.min())
     residual = max(0.0, lhs - principal) * config.delta * n
@@ -398,7 +390,7 @@ def oracle_report(
         oracle_factor=factor,
         residual_estimate=residual,
         oracle_holds=bool(holds),
-        sigma_hat_mean=float(sigmas.mean()),
+        sigma_hat_mean=float(means[-1]),
     )
 
 
@@ -407,26 +399,18 @@ def oracle_report(
 # ---------------------------------------------------------------------------
 
 
-def _improvement_rep(
-    rep: int,
-    setup: _RepSetup,
-    lam: np.ndarray,
-    shrink_cfg: ShrinkageConfig,
-    theta_pad: np.ndarray,
-    tail: float,
-):
-    path = _observe_rep(setup, rep, 0, 0)
+def _improvement_score(path: ObservationPath, truth: np.ndarray, lam: np.ndarray,
+                       shrink_cfg: ShrinkageConfig) -> list:
+    """Shrunk risk, shrunk - plain risk, and the head-norm identity error."""
     theta = estimate_fourier(path, lam.size).theta_hat
     theta_star, degenerate = shrink(theta, shrink_cfg)
-    risk_hat = float(np.sum((lam * theta - theta_pad) ** 2)) + tail
-    risk_star = float(np.sum((lam * theta_star - theta_pad) ** 2)) + tail
-    if degenerate or shrink_cfg.c_n == 0.0:
-        dev = 0.0
-    else:
+    risk_star = l2_risk_exact(lam * theta_star, truth)
+    dev = 0.0
+    if not degenerate and shrink_cfg.c_n != 0.0:
         head = float(np.sqrt(np.sum(theta[: shrink_cfg.d] ** 2)))
         head_star = float(np.sqrt(np.sum(theta_star[: shrink_cfg.d] ** 2)))
         dev = abs((head - head_star) - shrink_cfg.c_n)
-    return risk_star, risk_hat, dev
+    return [risk_star, risk_star - l2_risk_exact(lam * theta, truth), dev]
 
 
 def improvement_report(
@@ -453,27 +437,19 @@ def improvement_report(
     J = max(lam.size, shrink_cfg.d)
     if lam.size < J:
         lam = np.concatenate([lam, np.zeros(J - lam.size)])
-    theta_pad, tail = _truth_on(signal.coeffs, J)
-
-    setup = _setup_for((signal,), (spec,), n, M, master_seed)
-    fn = partial(
-        _improvement_rep, setup=setup, lam=lam, shrink_cfg=shrink_cfg,
-        theta_pad=theta_pad, tail=tail,
-    )
-    star, plain, devs = map(np.asarray, zip(*_map_reps(fn, reps, workers)))
-    diffs = star - plain
-    delta_hat, delta_se = _mean_se(diffs)
-    mean, se = _mean_se(star)
+    score = partial(_improvement_score, lam=lam, shrink_cfg=shrink_cfg)
+    table = _score_table((signal,), (spec,), score, reps, master_seed, n, M, workers)
+    means, ses = _mean_se(table)
     return RiskReport(
         estimator_id="shrunk_fixed_weights",
-        mean_risk=mean,
-        std_error=se,
+        mean_risk=float(means[0, 0, 0]),
+        std_error=float(ses[0, 0, 0]),
         reps=reps,
         master_seed=master_seed,
-        delta_hat=delta_hat,
-        delta_se=delta_se,
+        delta_hat=float(means[0, 0, 1]),
+        delta_se=float(ses[0, 0, 1]),
         improvement_bound=-shrink_cfg.c_n**2,
-        identity_max_dev=float(devs.max()),
+        identity_max_dev=float(table[:, 0, 0, 2].max()),
     )
 
 
@@ -562,8 +538,10 @@ def efficiency_sweep(
         ]
         signals.append(worst_single_frequency(grid, k, r, family.sigma_star, n, J=config.J))
 
-        means, ses = _risk_stats(signals, family.members, pipeline, reps, master_seed, n, M,
-                                 workers)
+        score = partial(_pipeline_risk, pipeline=pipeline)
+        means, ses = _mean_se(_score_table(signals, family.members, score, reps, master_seed, n,
+                                           M, workers))
+        means, ses = means[..., 0], ses[..., 0]
         # the first maximum in (signal, member) order
         i_s, i_m = np.unravel_index(int(np.argmax(means)), means.shape)
         sup_risk, sup_se = float(means[i_s, i_m]), float(ses[i_s, i_m])

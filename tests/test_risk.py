@@ -53,7 +53,6 @@ class TestL2RiskExact:
         est = np.array([1.0])
         th = np.array([1.0, 0.5])
         assert l2_risk_exact(est, th) == pytest.approx(0.25)
-        assert l2_risk_exact(est, th, tail_norm=0.1) == pytest.approx(0.35)
 
 
 class TestMonteCarloRisk:
