@@ -244,21 +244,18 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator) -> NoisePath:
 
 
 def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator) -> NoisePath:
-    """xi = rho1*L + rho2*X with X the renewal pulse train."""
-    _check_grid(n, M)
-    w_rng, z_rng, tau_rng, y_rng = rng.spawn(4)
+    """xi = rho1*L + rho2*X with X the renewal pulse train.
+
+    rho1*L is the Levy process with Brownian weight rho1*rho_check and
+    unit-rate Gaussian jumps of weight rho1*sqrt(1-rho_check^2), drawn by
+    simulate_levy from the first two children of rng; the renewal clock
+    and the marks draw from the third and fourth.
+    """
+    mix = math.sqrt(max(0.0, 1.0 - spec.rho_check**2))
+    continuous = LevySpec(rho1=spec.rho1 * spec.rho_check, rho2=spec.rho1 * mix)
+    inc = simulate_levy(continuous, n, M, rng).increments
+    tau_rng, y_rng = rng.spawn(2)
     cells = n * M
-    inc = np.zeros(cells)
-
-    if spec.rho1 > 0:
-        if spec.rho_check > 0:
-            inc += spec.rho1 * spec.rho_check / math.sqrt(M) * w_rng.standard_normal(cells)
-        mix = math.sqrt(max(0.0, 1.0 - spec.rho_check**2))
-        if mix > 0:
-            unit_cp = LevySpec(rho1=0.0, rho2=1.0, jump_intensity=1.0,
-                               jump_dist="normalized_gaussian")
-            inc += spec.rho1 * mix * _compound_poisson_increments(unit_cp, cells, M, z_rng)
-
     if spec.rho2 > 0:
         times = _renewal_times(spec.tau_dist, n, tau_rng)
         if times.size:
