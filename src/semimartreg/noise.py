@@ -85,6 +85,8 @@ class OuSpec:
     driving: LevySpec
 
     def __post_init__(self):
+        if not isinstance(self.driving, LevySpec):
+            raise ValueError(f"driving must be a Levy spec, got {type(self.driving).__name__}")
         if not self.a_max > 0:
             raise ValueError("a_max must be > 0")
         if not (-self.a_max <= self.a <= 0):

@@ -243,6 +243,14 @@ class TestValidation:
         ("signal", {"sobolev": {"k": "x", "r": 1.0}}),
         ("reps", float("nan")),
         ("efficiency", {"k": 1, "r": 1.0, "n_values": [10, 20], "n_signals": "3"}),
+        # an OU spec driven by anything but a Levy spec
+        ("noise", {"family": "ou", "a": -0.5, "a_max": 1.0,
+                   "driving": {"family": "semimarkov", "rho1": 0.8, "rho2": 0.42,
+                               "rho_check": 0.5, "tau_dist": {"kind": "exponential",
+                                                              "mean": 0.5}}}),
+        ("noise", {"family": "ou", "a": -0.5, "a_max": 1.0,
+                   "driving": {"family": "ou", "a": -0.5, "a_max": 1.0,
+                               "driving": {"family": "levy", "rho1": 0.8, "rho2": 0.6}}}),
     ])
     def test_wrongly_shaped_config_is_a_config_error(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, "shape.json", {

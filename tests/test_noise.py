@@ -96,6 +96,14 @@ class TestOu:
         with pytest.raises(ValueError):
             OuSpec(a=-2.0, a_max=1.0, driving=LevySpec(1.0, 0.0))
 
+    def test_driving_must_be_levy(self):
+        levy = LevySpec(0.8, 0.6)
+        drivers = (SemiMarkovSpec(0.8, 0.42, 0.5, TauDist.exponential(0.5)),
+                   OuSpec(a=-0.5, a_max=1.0, driving=levy))
+        for driving in drivers:
+            with pytest.raises(ValueError, match="driving must be a Levy spec"):
+                OuSpec(a=-0.5, a_max=1.0, driving=driving)
+
 
 class TestSemiMarkov:
     def test_poisson_special_case_variance(self):
