@@ -50,7 +50,6 @@ from .risk import (
     RiskReport,
     EfficiencyReport,
     ProjectionPipeline,
-    FixedWeightPipeline,
     SelectionPipeline,
     l2_risk_exact,
     monte_carlo_risk,

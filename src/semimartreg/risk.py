@@ -56,7 +56,6 @@ __all__ = [
     "EfficiencyRow",
     "EfficiencyReport",
     "ProjectionPipeline",
-    "FixedWeightPipeline",
     "SelectionPipeline",
     "l2_risk_exact",
     "monte_carlo_risk",
@@ -139,23 +138,6 @@ class ProjectionPipeline:
 
 
 @dataclass(frozen=True)
-class FixedWeightPipeline:
-    """Apply a fixed weight sequence to the coefficient estimates."""
-
-    lam: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.lam, dtype=np.float64)
-        nz = np.nonzero(arr)[0]
-        support = int(nz[-1]) + 1 if nz.size else 1
-        object.__setattr__(self, "lam", arr[:support].copy())
-
-    def __call__(self, path: ObservationPath) -> np.ndarray:
-        theta = estimate_fourier(path, self.lam.size).theta_hat
-        return self.lam * theta
-
-
-@dataclass(frozen=True)
 class SelectionPipeline:
     """Full data-driven selection, with the shrunk head when shrink_cfg is set."""
 
@@ -184,12 +166,10 @@ def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray) -> float:
     shorter of the two sequences padded by zeros."""
     est = np.asarray(est, dtype=np.float64)
     theta_true = np.asarray(theta_true, dtype=np.float64)
-    L = max(est.size, theta_true.size)
-    e = np.zeros(L)
-    t = np.zeros(L)
-    e[: est.size] = est
-    t[: theta_true.size] = theta_true
-    return float(np.sum((e - t) ** 2))
+    diff = np.zeros(max(est.size, theta_true.size))
+    diff[: est.size] = est
+    diff[: theta_true.size] -= theta_true
+    return float(np.sum(diff**2))
 
 
 # ---------------------------------------------------------------------------
@@ -207,14 +187,6 @@ class _RepSetup:
     master_seed: int
     dets: tuple
     truths: tuple
-
-
-def _setup_for(signals, specs, n: int, M: int, master_seed: int) -> _RepSetup:
-    return _RepSetup(
-        specs=tuple(specs), n=n, M=M, master_seed=master_seed,
-        dets=tuple(signal_increments(sig, n, M) for sig in signals),
-        truths=tuple(sig.coeffs for sig in signals),
-    )
 
 
 def _observe_rep(setup: _RepSetup, rep: int, k: int, s: int) -> ObservationPath:
@@ -260,7 +232,9 @@ def _map_reps(fn: Callable, reps: int, workers: int) -> list:
 
 def _score_table(signals, specs, score: Callable, reps, master_seed, n, M, workers) -> np.ndarray:
     """The (reps, signals, members, columns) table of one experiment."""
-    setup = _setup_for(signals, specs, n, M, master_seed)
+    setup = _RepSetup(specs=tuple(specs), n=n, M=M, master_seed=master_seed,
+                      dets=tuple(signal_increments(sig, n, M) for sig in signals),
+                      truths=tuple(sig.coeffs for sig in signals))
     return np.stack(_map_reps(partial(_score_rep, setup=setup, score=score), reps, workers))
 
 
@@ -434,9 +408,7 @@ def improvement_report(
     if math.sqrt(signal.norm_sq()) > shrink_cfg.r_star:
         raise ValueError("signal norm exceeds r_star; improvement bound hypothesis fails")
     lam = weights.lam if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
-    J = max(lam.size, shrink_cfg.d)
-    if lam.size < J:
-        lam = np.concatenate([lam, np.zeros(J - lam.size)])
+    lam = np.pad(lam, (0, max(0, shrink_cfg.d - lam.size)))
     score = partial(_improvement_score, lam=lam, shrink_cfg=shrink_cfg)
     table = _score_table((signal,), (spec,), score, reps, master_seed, n, M, workers)
     means, ses = _mean_se(table)

@@ -14,7 +14,6 @@ from semimartreg.noise import (
     derive_rng,
 )
 from semimartreg.risk import (
-    FixedWeightPipeline,
     ProjectionPipeline,
     SelectionPipeline,
     build_grid_for,
@@ -101,15 +100,6 @@ class TestMonteCarloRisk:
         with pytest.raises(ValueError):
             monte_carlo_risk(Signal(np.zeros(1)), LevySpec(1.0, 0.0),
                              ProjectionPipeline(m=1), 1, 0, n=4, M=32)
-
-    def test_fixed_weights_with_leading_ones_match_projection(self):
-        sig = Signal(np.array([0.3, -0.2]))
-        lam = np.array([1.0, 1.0, 1.0, 0.0, 0.0])
-        a = monte_carlo_risk(sig, LevySpec(0.8, 0.0), FixedWeightPipeline(lam=lam),
-                             80, 14, n=16, M=32)
-        b = monte_carlo_risk(sig, LevySpec(0.8, 0.0), ProjectionPipeline(m=3),
-                             80, 14, n=16, M=32)
-        assert a.mean_risk == pytest.approx(b.mean_risk, rel=1e-12)
 
 
 class TestRobustRisk:
