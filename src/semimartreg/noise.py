@@ -253,7 +253,7 @@ def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator) ->
     simulate_levy from the first two children of rng; the renewal clock
     and the marks draw from the third and fourth.
     """
-    mix = math.sqrt(max(0.0, 1.0 - spec.rho_check**2))
+    mix = math.sqrt(1.0 - spec.rho_check**2)
     continuous = LevySpec(rho1=spec.rho1 * spec.rho_check, rho2=spec.rho1 * mix)
     inc = simulate_levy(continuous, n, M, rng).increments
     tau_rng, y_rng = rng.spawn(2)
