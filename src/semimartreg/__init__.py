@@ -28,7 +28,7 @@ from .noise import (
     simulate_semimarkov,
     nominal_sigma,
 )
-from .observe import ObservationPath, FourierEstimates, simulate_observations, estimate_fourier, estimate_variance_proxy
+from .observe import ObservationPath, FourierEstimates, signal_increments, estimate_fourier, estimate_variance_proxy
 from .select import (
     WeightVector,
     WeightGrid,

@@ -37,10 +37,12 @@ from .noise import (
     nominal_sigma,
     simulate,
 )
-from .observe import estimate_fourier, simulate_observations
+from .observe import ObservationPath, estimate_fourier, signal_increments
 from .risk import (
     ProjectionPipeline,
     SelectionPipeline,
+    _observe_rep,
+    _rep_setup,
     build_grid_for,
     efficiency_sweep,
     improvement_report,
@@ -277,10 +279,12 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
             prev = v
         _num(efficiency.get("n_signals", 3), "efficiency.n_signals", lo=0, integer=True)
 
-    if J > n * M / 4:
-        raise _fail("J", f"J={J} exceeds the anti-aliasing ceiling n*M/4={n * M / 4:g}")
-    if projection_m > n * M / 4:
-        raise _fail("estimator.projection", "m exceeds the anti-aliasing ceiling n*M/4")
+    # J defaults to n, which only the commands that estimate J coefficients
+    # check against M (see _check_ceiling)
+    if "J" in data:
+        _check_ceiling(J, M, "J")
+    if estimator == "projection":
+        _check_ceiling(projection_m, M, "estimator.projection")
 
     return ExperimentConfig(
         signal=signal,
@@ -299,6 +303,17 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
         efficiency=efficiency,
         config_hash=config_hash,
     )
+
+
+def _check_ceiling(J: int, M: int, field: str) -> None:
+    """Estimating J coefficients reads frequencies up to [J/2] off the M cell
+    midpoints of a period, which alias from M/2 on.
+
+    validate_config checks the J and m the config gives; a command checks
+    the J it derives (the default J = n, the proxy's n) and names field M,
+    the one that must grow."""
+    if 2 * (J // 2) >= M:
+        raise _fail(field, f"estimating J={J} coefficients needs 2*(J//2) < M, got M={M}")
 
 
 # ---------------------------------------------------------------------------
@@ -379,20 +394,29 @@ def _selection_parts(cfg: ExperimentConfig, improved: bool):
     return grid, sel_cfg, shrink_cfg
 
 
+def _check_selection_ceiling(cfg: ExperimentConfig, sel_cfg: SelectionConfig) -> None:
+    """Selection estimates sel_cfg.J coefficients, and the estimated proxy n."""
+    _check_ceiling(sel_cfg.J if cfg.sigma_known is not None else max(sel_cfg.J, cfg.n),
+                   cfg.M, "M")
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
+    """The full path of replicate 0 cell by cell, and the estimates from its fold."""
+    _check_ceiling(cfg.J, cfg.M, "M")
     rng = derive_rng(cfg.seed, 0)
-    noise = simulate(cfg.primary_noise(), cfg.n, cfg.M, rng)
-    path = simulate_observations(cfg.signal, noise)
-    theta = estimate_fourier(path, cfg.J)
+    noise = simulate(cfg.primary_noise(), cfg.n, cfg.M, rng, fold=False)
+    dy = signal_increments(cfg.signal, cfg.n, cfg.M) + noise.increments
+    folded = ObservationPath(dy.reshape(cfg.n, cfg.M).sum(axis=0), cfg.n, cfg.M)
+    theta = estimate_fourier(folded, cfg.J)
     record = {
         **_provenance(cfg, "simulate"),
         "n": cfg.n,
         "M": cfg.M,
-        "total_increment": float(np.sum(path.dy)),
+        "total_increment": float(np.sum(dy)),
         "theta_hat": theta.theta_hat.tolist(),
     }
-    rows = [[(i + 0.5) / cfg.M, float(dy), cfg.config_hash[:16]]
-            for i, dy in enumerate(path.dy)]
+    rows = [[(i + 0.5) / cfg.M, float(x), cfg.config_hash[:16]]
+            for i, x in enumerate(dy)]
     _emit_tables(record, [("path", ["t", "dy", "config_hash"], rows)], out_dir, fmt)
     return record
 
@@ -401,6 +425,7 @@ def _pipeline_for(cfg: ExperimentConfig):
     if cfg.estimator == "projection":
         return ProjectionPipeline(m=cfg.projection_m), None
     grid, sel_cfg, shrink_cfg = _selection_parts(cfg, improved=cfg.estimator == "improved")
+    _check_selection_ceiling(cfg, sel_cfg)
     return SelectionPipeline(grid=grid, config=sel_cfg, shrink_cfg=shrink_cfg), grid
 
 
@@ -423,9 +448,10 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) ->
 
 
 def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> dict:
-    """Selection diagnostics on replication 0, for the run record."""
-    noise = simulate(cfg.primary_noise(), cfg.n, cfg.M, derive_rng(cfg.seed, 0))
-    res = pipeline.select(simulate_observations(cfg.signal, noise))
+    """Selection diagnostics on replication 0 of the first member, for the
+    run record."""
+    setup = _rep_setup((cfg.signal,), (cfg.primary_noise(),), cfg.seed, cfg.n, cfg.M)
+    res = pipeline.select(_observe_rep(setup, 0, 0, 0))
     shrink_cfg = pipeline.shrink_cfg
     return {
         "alpha": list(res.weights.alpha),
@@ -441,6 +467,7 @@ def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> di
 
 def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
     grid, sel_cfg, shrink_cfg = _selection_parts(cfg, improved=cfg.estimator == "improved")
+    _check_selection_ceiling(cfg, sel_cfg)
     report = oracle_report(cfg.signal, cfg.primary_noise(), grid, sel_cfg, cfg.reps,
                            cfg.seed, n=cfg.n, M=cfg.M, shrink_cfg=shrink_cfg,
                            workers=workers)

@@ -1,10 +1,23 @@
 """Simulation of the three semimartingale noise families on a uniform grid.
 
-All simulators return per-cell increments of the noise over [0, n] with M
-cells per unit time.  Every stochastic component (Brownian part, jump part,
-renewal clock, jump marks) draws from its own child stream spawned from the
-caller's generator, so switching one component on or off never perturbs the
-draws of the others.
+The grid has M cells per unit time on [0, n].  Every estimator reads only
+the fold of a path: the M per-period sums, entry i summing the increments
+over cell i of each of the n periods.  The simulators therefore return the
+fold by default, and the full path of n*M cell increments with fold=False.
+
+- Levy: the fold is sampled directly and exactly in law.  The n increments
+  summed into one entry are i.i.d., so their sum is one increment over a
+  cell of length n/M; the same increment code draws the n*M cells of
+  length 1/M of a full path.
+- Semi-Markov: the Levy part is folded as above, and each renewal pulse is
+  added to the entry of its cell index modulo M.
+- OU: the per-period sums of a mean-reverting path depend on the whole
+  path, so there is no exact cheap fold; the full-path recursion runs and
+  is folded.
+
+Every stochastic component (Brownian part, jump part, renewal clock, jump
+marks) draws from its own child stream spawned from the caller's generator,
+so switching one component on or off never perturbs the draws of the others.
 
 Seed-splitting contract: replication (and family-member) streams are derived
 as Generator(Philox(SeedSequence(entropy=master_seed, spawn_key=path))),
@@ -157,21 +170,29 @@ NoiseSpec = Union[LevySpec, OuSpec, SemiMarkovSpec]
 
 @dataclass(frozen=True)
 class NoisePath:
-    """Increments of the noise over n*M cells of width 1/M on [0, n]."""
+    """Noise on [0, n] with M cells of width 1/M per unit time: the n*M cell
+    increments of a full path, or, when folded, its M per-period sums."""
 
     increments: np.ndarray
     n: int
     M: int
+    folded: bool = False
 
     def __post_init__(self):
         arr = np.asarray(self.increments, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != self.n * self.M:
-            raise ValueError(
-                f"increments must have length n*M={self.n * self.M}, got {arr.size}"
-            )
+        size, name = (self.M, "M") if self.folded else (self.n * self.M, "n*M")
+        if arr.ndim != 1 or arr.size != size:
+            raise ValueError(f"increments must have length {name}={size}, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("noise increments must be finite")
         object.__setattr__(self, "increments", arr)
+
+    def fold(self) -> "NoisePath":
+        """The M per-period sums of the path."""
+        if self.folded:
+            return self
+        sums = self.increments.reshape(self.n, self.M).sum(axis=0)
+        return NoisePath(sums, self.n, self.M, folded=True)
 
 
 @dataclass(frozen=True)
@@ -211,10 +232,11 @@ def _check_grid(n: int, M: int) -> None:
 
 
 def _compound_poisson_increments(
-    spec: LevySpec, cells: int, M: int, rng: Generator
+    spec: LevySpec, cells: int, width: float, rng: Generator
 ) -> np.ndarray:
-    """Per-cell sums of a unit second-moment compound-Poisson martingale."""
-    counts = rng.poisson(spec.jump_intensity / M, size=cells)
+    """Sums of a unit second-moment compound-Poisson martingale over cells
+    of length width."""
+    counts = rng.poisson(spec.jump_intensity * width, size=cells)
     s = spec.jump_scale
     if spec.jump_dist == "normalized_gaussian":
         # sum of k iid N(0, s^2) is sqrt(k)*s*N(0,1)
@@ -223,41 +245,57 @@ def _compound_poisson_increments(
     return s * (2.0 * heads - counts)
 
 
-def simulate_levy(spec: LevySpec, n: int, M: int, rng: Generator) -> NoisePath:
-    """xi = rho1*w + rho2*z with z a compensated compound-Poisson martingale."""
-    _check_grid(n, M)
+def _levy_increments(spec: LevySpec, cells: int, width: float, rng: Generator) -> np.ndarray:
+    """Increments of rho1*w + rho2*z over cells of length width."""
     w_rng, z_rng = rng.spawn(2)
-    cells = n * M
     inc = np.zeros(cells)
     if spec.rho1 > 0:
-        inc += spec.rho1 / math.sqrt(M) * w_rng.standard_normal(cells)
+        inc += spec.rho1 * math.sqrt(width) * w_rng.standard_normal(cells)
     if spec.rho2 > 0:
-        inc += spec.rho2 * _compound_poisson_increments(spec, cells, M, z_rng)
-    return NoisePath(inc, n, M)
+        inc += spec.rho2 * _compound_poisson_increments(spec, cells, width, z_rng)
+    return inc
 
 
-def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator) -> NoisePath:
-    """Per-cell recursion xi_{i+1} = exp(a/M) * xi_i + du_i, xi_0 = 0."""
+def simulate_levy(spec: LevySpec, n: int, M: int, rng: Generator, *,
+                  fold: bool = True) -> NoisePath:
+    """xi = rho1*w + rho2*z with z a compensated compound-Poisson martingale.
+
+    The fold is drawn as M cells of length n/M, each with the law of the
+    sum of the n cells of length 1/M it stands for."""
     _check_grid(n, M)
-    du = simulate_levy(spec.driving, n, M, rng).increments
+    if fold:
+        return NoisePath(_levy_increments(spec, M, n / M, rng), n, M, folded=True)
+    return NoisePath(_levy_increments(spec, n * M, 1.0 / M, rng), n, M)
+
+
+def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
+                fold: bool = True) -> NoisePath:
+    """Per-cell recursion xi_{i+1} = exp(a/M) * xi_i + du_i, xi_0 = 0.
+
+    OU has no exact cheap fold: the per-period sums depend on the whole
+    path, so the fold is taken of the full n*M-cell recursion."""
+    _check_grid(n, M)
+    du = simulate_levy(spec.driving, n, M, rng, fold=False).increments
     phi = math.exp(spec.a / M)
     xi = lfilter([1.0], [1.0, -phi], du)
-    return NoisePath(np.diff(xi, prepend=0.0), n, M)
+    path = NoisePath(np.diff(xi, prepend=0.0), n, M)
+    return path.fold() if fold else path
 
 
-def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator) -> NoisePath:
+def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator, *,
+                        fold: bool = True) -> NoisePath:
     """xi = rho1*L + rho2*X with X the renewal pulse train.
 
     rho1*L is the Levy process with Brownian weight rho1*rho_check and
     unit-rate Gaussian jumps of weight rho1*sqrt(1-rho_check^2), drawn by
     simulate_levy from the first two children of rng; the renewal clock
-    and the marks draw from the third and fourth.
+    and the marks draw from the third and fourth.  A pulse lands in the
+    cell of its time, or in the fold in that cell's index modulo M.
     """
     mix = math.sqrt(1.0 - spec.rho_check**2)
     continuous = LevySpec(rho1=spec.rho1 * spec.rho_check, rho2=spec.rho1 * mix)
-    inc = simulate_levy(continuous, n, M, rng).increments
+    inc = simulate_levy(continuous, n, M, rng, fold=fold).increments
     tau_rng, y_rng = rng.spawn(2)
-    cells = n * M
     if spec.rho2 > 0:
         times = _renewal_times(spec.tau_dist, n, tau_rng)
         if times.size:
@@ -266,10 +304,12 @@ def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator) ->
                 if spec.y_dist == "rademacher"
                 else y_rng.standard_normal(times.size)
             )
-            idx = np.minimum((times * M).astype(np.int64), cells - 1)
-            inc += spec.rho2 * np.bincount(idx, weights=marks, minlength=cells)
+            idx = np.minimum((times * M).astype(np.int64), n * M - 1)
+            if fold:
+                idx %= M
+            inc += spec.rho2 * np.bincount(idx, weights=marks, minlength=inc.size)
 
-    return NoisePath(inc, n, M)
+    return NoisePath(inc, n, M, folded=fold)
 
 
 def _renewal_times(tau: TauDist, horizon: float, rng: Generator) -> np.ndarray:
@@ -289,14 +329,16 @@ def _renewal_times(tau: TauDist, horizon: float, rng: Generator) -> np.ndarray:
     return times[times <= horizon]
 
 
-def simulate(spec: NoiseSpec, n: int, M: int, rng: Generator) -> NoisePath:
-    """Dispatch on the spec type."""
+def simulate(spec: NoiseSpec, n: int, M: int, rng: Generator, *,
+             fold: bool = True) -> NoisePath:
+    """Dispatch on the spec type; the fold by default, the full path with
+    fold=False."""
     if isinstance(spec, LevySpec):
-        return simulate_levy(spec, n, M, rng)
+        return simulate_levy(spec, n, M, rng, fold=fold)
     if isinstance(spec, OuSpec):
-        return simulate_ou(spec, n, M, rng)
+        return simulate_ou(spec, n, M, rng, fold=fold)
     if isinstance(spec, SemiMarkovSpec):
-        return simulate_semimarkov(spec, n, M, rng)
+        return simulate_semimarkov(spec, n, M, rng, fold=fold)
     raise ValueError(f"unknown noise spec type {type(spec).__name__}")
 
 

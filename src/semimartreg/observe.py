@@ -1,35 +1,42 @@
 """Observation paths and coefficient / variance-proxy estimators.
 
-The observed process has increments dy = S(t) dt + d_xi on the simulation
-grid.  Coefficient estimates are increment sums weighted by the basis at the
-cell midpoints; since the basis is 1-periodic the nM-cell sum folds onto one
-period of M cells, which keeps estimation cheap even with j running up to n.
+The observed process has increments dy = S(t) dt + d_xi on a grid of M cells
+per unit time on [0, n].  Coefficient estimates are increment sums weighted
+by the basis at the cell midpoints.  The basis is 1-periodic, so they read
+only the fold of the path: the M per-period sums, entry i summing dy over
+cell i of each of the n periods.  An ObservationPath holds that fold: the
+noise fold from `noise.simulate` plus n times one period of the
+deterministic increments.
+
+On the M midpoints of a period, frequency k >= M/2 is indistinguishable
+from M - k, so the estimators accept J only while 2*[J/2] < M, the top
+frequency [J/2] below M/2.  Below that ceiling every estimate is one real
+FFT of the fold, phase-shifted by half a cell.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-from .noise import NoisePath
-from .signal import Signal, basis_matrix, synthesize
+from .signal import Signal, synthesize
 
 __all__ = [
     "ObservationPath",
     "FourierEstimates",
     "signal_increments",
-    "simulate_observations",
     "estimate_fourier",
     "estimate_variance_proxy",
 ]
 
+_SQRT2 = math.sqrt(2.0)
+
 
 @dataclass(frozen=True)
 class ObservationPath:
-    """Increments of y over n*M cells of width 1/M on [0, n]."""
+    """The M per-period sums dy of the increments of y on [0, n]."""
 
     dy: np.ndarray
     n: int
@@ -37,8 +44,8 @@ class ObservationPath:
 
     def __post_init__(self):
         arr = np.asarray(self.dy, dtype=np.float64)
-        if arr.ndim != 1 or arr.size != self.n * self.M:
-            raise ValueError(f"dy must have length n*M={self.n * self.M}, got {arr.size}")
+        if arr.ndim != 1 or arr.size != self.M:
+            raise ValueError(f"dy must have length M={self.M}, got {arr.size}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("observation increments must be finite")
         object.__setattr__(self, "dy", arr)
@@ -62,39 +69,34 @@ class FourierEstimates:
 
 
 def signal_increments(signal: Signal, n: int, M: int) -> np.ndarray:
-    """Deterministic part of dy: the midpoint rule for the integral of S over
-    each cell, S at the cell midpoint times the width 1/M."""
+    """Deterministic part of dy over n*M cells: the midpoint rule for the
+    integral of S over each cell, S at the cell midpoint times the width 1/M.
+    One period (n = 1), times n, is the deterministic part of the fold."""
     t = (np.arange(n * M) + 0.5) / M
     return synthesize(signal, t) / M
 
 
-def simulate_observations(signal: Signal, noise: NoisePath) -> ObservationPath:
-    """dy_i = integral of S over cell i plus the noise increment."""
-    if noise.increments.size != noise.n * noise.M:
-        raise ValueError("noise grid does not match its declared (n, M)")
-    det = signal_increments(signal, noise.n, noise.M)
-    return ObservationPath(det + noise.increments, noise.n, noise.M)
-
-
-@lru_cache(maxsize=16)
-def _midpoint_basis(J: int, M: int) -> np.ndarray:
-    """Basis values at the M cell midpoints of one period; cached, read-only."""
-    mat = basis_matrix(J, (np.arange(M) + 0.5) / M)
-    mat.setflags(write=False)
-    return mat
-
-
 def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
-    """theta_hat_j = (1/n) sum_i Tr_j(t_i) dy_i with t_i the cell midpoints."""
+    """theta_hat_j = (1/n) sum_i Tr_j(t_i) dy_i with t_i the cell midpoints.
+
+    With G_k = e^{-i pi k/M} rfft(dy)_k = sum_i dy_i e^{-2 pi i k t_i}, the
+    estimates are G_0/n for j = 1, and sqrt(2) Re G_k/n (j = 2k) and
+    -sqrt(2) Im G_k/n (j = 2k+1) for the cosine and sine of frequency k.
+    """
     if J < 1:
         raise ValueError("J must be >= 1")
-    if J > path.n * path.M / 4:
+    top = J // 2
+    if 2 * top >= path.M:
         raise ValueError(
-            f"J={J} exceeds the anti-aliasing ceiling n*M/4={path.n * path.M / 4:g}"
+            f"J={J} reaches frequency {top}, at or above the Nyquist limit "
+            f"M/2={path.M / 2:g} of the M cell midpoints (needs 2*(J//2) < M)"
         )
-    folded = path.dy.reshape(path.n, path.M).sum(axis=0)
-    theta = _midpoint_basis(J, path.M) @ folded / path.n
-    return FourierEstimates(theta, path.n, J)
+    g = np.fft.rfft(path.dy)[: top + 1] * np.exp(-1j * math.pi * np.arange(top + 1) / path.M)
+    theta = np.empty(J)
+    theta[0] = g[0].real
+    theta[1::2] = _SQRT2 * g[1:].real
+    theta[2::2] = -_SQRT2 * g[1 : (J + 1) // 2].imag
+    return FourierEstimates(theta / path.n, path.n, J)
 
 
 def estimate_variance_proxy(path: ObservationPath) -> float:

@@ -7,8 +7,9 @@ counter-based stream from (master_seed, replication index), so results are
 bit-identical regardless of worker count.
 
 Every report is one Monte Carlo table of replicates x signals x members x
-score columns.  A score turns one observed path and the true coefficients
-into one row of numbers: the exact risk of an estimate (Monte Carlo and
+score columns.  A score turns one observed path (its fold, the M
+per-period sums the estimators read) and the true coefficients into one
+row of numbers: the exact risk of an estimate (Monte Carlo and
 robust risk, the efficiency sweep), the selected risk with the risk of
 each grid member and sigma-hat (oracle report), or the shrunk risk with the
 paired shrunk - plain difference and the head-norm identity error
@@ -179,7 +180,8 @@ def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class _RepSetup:
-    """Noise members, and per signal its deterministic increments and truth."""
+    """Noise members, and per signal the deterministic part of the fold
+    (n times one period of increments) and the truth."""
 
     specs: tuple
     n: int
@@ -189,8 +191,15 @@ class _RepSetup:
     truths: tuple
 
 
+def _rep_setup(signals, specs, master_seed: int, n: int, M: int) -> _RepSetup:
+    return _RepSetup(specs=tuple(specs), n=n, M=M, master_seed=master_seed,
+                     dets=tuple(n * signal_increments(sig, 1, M) for sig in signals),
+                     truths=tuple(sig.coeffs for sig in signals))
+
+
 def _observe_rep(setup: _RepSetup, rep: int, k: int, s: int) -> ObservationPath:
-    """Replicate rep of signal s under member k; members share the stream."""
+    """Fold of replicate rep of signal s under member k; members share the
+    stream."""
     rng = derive_rng(setup.master_seed, rep)
     noise = simulate(setup.specs[k], setup.n, setup.M, rng)
     return ObservationPath(setup.dets[s] + noise.increments, setup.n, setup.M)
@@ -232,9 +241,7 @@ def _map_reps(fn: Callable, reps: int, workers: int) -> list:
 
 def _score_table(signals, specs, score: Callable, reps, master_seed, n, M, workers) -> np.ndarray:
     """The (reps, signals, members, columns) table of one experiment."""
-    setup = _RepSetup(specs=tuple(specs), n=n, M=M, master_seed=master_seed,
-                      dets=tuple(signal_increments(sig, n, M) for sig in signals),
-                      truths=tuple(sig.coeffs for sig in signals))
+    setup = _rep_setup(signals, specs, master_seed, n, M)
     return np.stack(_map_reps(partial(_score_rep, setup=setup, score=score), reps, workers))
 
 

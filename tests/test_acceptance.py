@@ -107,7 +107,7 @@ def test_criterion_3_variance_proxy_rate():
     means = []
     for n in (64, 128, 256, 512):
         M = max(256, 2 * n)
-        det = signal_increments(sig, n, M)
+        det = n * signal_increments(sig, 1, M)
         errs = np.empty(reps)
         for rep in range(reps):
             noise = simulate(spec, n, M, derive_rng(1000 + n, rep))
@@ -164,7 +164,7 @@ def test_criterion_5_improvement_bound():
 
 def _paired_selection(signal, spec, n, M, grid, cfg, shrink_cfg, reps, seed):
     """Risks of improved and standard selection on common replication paths."""
-    det = signal_increments(signal, n, M)
+    det = n * signal_increments(signal, 1, M)
     theta_true = signal.coeffs
     J = cfg.J
     tp = np.zeros(J)

@@ -265,6 +265,22 @@ class TestValidation:
         assert err.count("config field") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, extra", [
+        ("J", {"J": 60}),
+        ("estimator.projection", {"J": 8, "estimator": {"projection": 40}}),
+    ])
+    def test_aliased_frequency_is_a_config_error(self, tmp_path, capsys, field, extra):
+        # on M = 32 cell midpoints, frequency 30 of J = 60 reads as frequency 2
+        cfg = write_config(tmp_path, "alias.json", {
+            "signal": {"coeffs": [1.0]},
+            "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.0},
+            "n": 100, "M": 32, **extra,
+        })
+        assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config field '{field}'" in err
+        assert "2*(J//2) < M" in err
+
     @pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("missing")])
     def test_unexpected_handler_error_exit_code(self, tmp_path, capsys, monkeypatch, exc):
         def handler(*args):
@@ -292,3 +308,47 @@ class TestValidation:
         })
         assert run(["efficiency-sweep", "--config", cfg,
                     "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
+class TestProxyCeiling:
+    """The estimated proxy reads J = n coefficients off the M cell midpoints,
+    so it needs 2*(n//2) < M; n = 100 on M = 64 breaks that."""
+
+    def config(self, tmp_path, **extra):
+        return write_config(tmp_path, "proxy.json", {
+            "signal": {"coeffs": [0.5, 0.3, 0.2]},
+            "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.0},
+            "n": 100, "M": 64, "J": 10, "reps": 4, "seed": 8, **extra,
+        })
+
+    @pytest.mark.parametrize("command", ["oracle-check", "estimate"])
+    @pytest.mark.parametrize("estimator", ["selection", "improved"])
+    def test_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch, command,
+                                           estimator):
+        from semimartreg import risk
+
+        def no_replicates(*args, **kwargs):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(risk, "_map_reps", no_replicates)
+        cfg = self.config(tmp_path, estimator=estimator)
+        assert run([command, "--config", cfg, "--workers", "1",
+                    "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config field 'M'" in capsys.readouterr().err
+
+    def test_known_sigma_needs_no_proxy(self, tmp_path):
+        cfg = self.config(tmp_path, sigma_source={"known": 1.0})
+        assert run(["oracle-check", "--config", cfg, "--workers", "1",
+                    "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_improve_check_needs_no_proxy(self, tmp_path):
+        # the small OU improvement config: d = 60 coefficients on M = 64
+        cfg = write_config(tmp_path, "improve.json", {
+            "signal": {"coeffs": [0.5, 0.3, 0.2]},
+            "noise": {"family": "ou", "a": -0.5, "a_max": 1.0,
+                      "driving": {"family": "levy", "rho1": 1.0, "rho2": 0.5}},
+            "n": 100, "M": 64, "reps": 4, "seed": 8,
+            "estimator": "improved", "shrinkage": {"d": 60},
+        })
+        assert run(["improve-check", "--config", cfg, "--workers", "1",
+                    "--out-dir", str(tmp_path / "o")]) == EXIT_OK

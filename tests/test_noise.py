@@ -21,9 +21,9 @@ from semimartreg.noise import (
 )
 
 
-def terminal_values(spec, n, M, reps, seed):
+def terminal_values(spec, n, M, reps, seed, fold=True):
     return np.array([
-        simulate(spec, n, M, derive_rng(seed, rep)).increments.sum()
+        simulate(spec, n, M, derive_rng(seed, rep), fold=fold).increments.sum()
         for rep in range(reps)
     ])
 
@@ -47,8 +47,10 @@ class TestLevy:
             assert abs(var - 1.0) <= 4 * se, dist
 
     def test_zero_spec_zero_path(self):
-        path = simulate_levy(LevySpec(0.0, 0.0), 4, 16, derive_rng(0, 0))
+        path = simulate_levy(LevySpec(0.0, 0.0), 4, 16, derive_rng(0, 0), fold=False)
         np.testing.assert_array_equal(path.increments, np.zeros(64))
+        path = simulate_levy(LevySpec(0.0, 0.0), 4, 16, derive_rng(0, 0))
+        np.testing.assert_array_equal(path.increments, np.zeros(16))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -68,11 +70,11 @@ class TestLevy:
 class TestOu:
     def test_zero_reversion_matches_driving(self):
         # a = 0 reduces to the driving Levy process; same seed gives the same
-        # path up to the rounding of the recursion's accumulation
+        # full path up to the rounding of the recursion's accumulation
         spec = OuSpec(a=0.0, a_max=1.0, driving=LevySpec(0.8, 0.6))
         n, reps = 8, 2000
-        xi_ou = terminal_values(spec, n, 32, reps, 303)
-        xi_levy = terminal_values(spec.driving, n, 32, reps, 303)
+        xi_ou = terminal_values(spec, n, 32, reps, 303, fold=False)
+        xi_levy = terminal_values(spec.driving, n, 32, reps, 303, fold=False)
         np.testing.assert_allclose(xi_ou, xi_levy, rtol=0, atol=1e-9)
         assert abs(xi_ou.var(ddof=1) - xi_levy.var(ddof=1)) < 1e-8
 
@@ -87,8 +89,10 @@ class TestOu:
 
     def test_zero_driving_zero_path(self):
         spec = OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.0, 0.0))
-        path = simulate_ou(spec, 4, 16, derive_rng(0, 0))
+        path = simulate_ou(spec, 4, 16, derive_rng(0, 0), fold=False)
         np.testing.assert_array_equal(path.increments, np.zeros(64))
+        path = simulate_ou(spec, 4, 16, derive_rng(0, 0))
+        np.testing.assert_array_equal(path.increments, np.zeros(16))
 
     def test_reversion_range_enforced(self):
         with pytest.raises(ValueError):
@@ -133,7 +137,7 @@ class TestSemiMarkov:
         n, reps = 200, 200
         counts = []
         for rep in range(reps):
-            path = simulate_semimarkov(spec, n, 16, derive_rng(707, rep))
+            path = simulate_semimarkov(spec, n, 16, derive_rng(707, rep), fold=False)
             # rademacher marks have |Y| = 1, so the event count is the L1 mass
             counts.append(np.abs(path.increments).sum())
         rate = np.mean(counts) / n

@@ -1,4 +1,6 @@
-"""Observation construction, coefficient estimation, variance proxy."""
+"""Observation construction, coefficient estimation, variance proxy.
+
+Paths are folds: the M per-period sums of the increments on [0, n]."""
 
 import math
 
@@ -11,7 +13,6 @@ from semimartreg.observe import (
     estimate_fourier,
     estimate_variance_proxy,
     signal_increments,
-    simulate_observations,
 )
 from semimartreg.signal import Signal, basis_matrix
 
@@ -20,20 +21,27 @@ def zero_noise(n, M):
     return simulate_levy(LevySpec(0.0, 0.0), n, M, derive_rng(0, 0))
 
 
+def observe(signal, noise):
+    """Fold of dy: n periods of the deterministic increments plus the noise fold."""
+    det = noise.n * signal_increments(signal, 1, noise.M)
+    return ObservationPath(det + noise.increments, noise.n, noise.M)
+
+
 class TestSimulateObservations:
     def test_zero_signal_passes_noise_through(self):
         noise = simulate_levy(LevySpec(1.0, 0.5), 4, 32, derive_rng(1, 0))
-        path = simulate_observations(Signal(np.zeros(3)), noise)
+        path = observe(Signal(np.zeros(3)), noise)
         np.testing.assert_array_equal(path.dy, noise.increments)
 
     def test_constant_signal_cells(self):
-        path = simulate_observations(Signal(np.array([2.5])), zero_noise(3, 64))
-        np.testing.assert_allclose(path.dy, np.full(192, 2.5 / 64), atol=1e-12)
+        # each of the 64 cells of the fold sums 3 periods of 2.5 / 64
+        path = observe(Signal(np.array([2.5])), zero_noise(3, 64))
+        np.testing.assert_allclose(path.dy, np.full(64, 3 * 2.5 / 64), atol=1e-12)
 
     def test_cosine_integrates_to_zero(self):
         # oracle: the exact integral of sqrt(2) cos(2 pi t) over a period is 0
         sig = Signal(np.array([0.0, 1.0]))
-        path = simulate_observations(sig, zero_noise(1, 256))
+        path = observe(sig, zero_noise(1, 256))
         assert abs(path.dy.sum()) < 1e-8
 
     def test_grid_mismatch_rejected(self):
@@ -44,14 +52,14 @@ class TestSimulateObservations:
 class TestEstimateFourier:
     def test_noiseless_recovery(self):
         sig = Signal(np.array([0.0, 1.0, 0.0]))
-        path = simulate_observations(sig, zero_noise(10, 256))
+        path = observe(sig, zero_noise(10, 256))
         est = estimate_fourier(path, 3).theta_hat
         np.testing.assert_allclose(est, sig.coeffs, atol=1e-4)
 
     def test_single_period_equals_quadrature(self):
         # n = 1: the estimator is the one-period midpoint quadrature against dy
         sig = Signal(np.array([0.5, -0.3]))
-        path = simulate_observations(sig, zero_noise(1, 256))
+        path = observe(sig, zero_noise(1, 256))
         est = estimate_fourier(path, 2).theta_hat
         t = (np.arange(256) + 0.5) / 256
         oracle = basis_matrix(2, t) @ path.dy
@@ -77,7 +85,7 @@ class TestEstimateFourier:
         sig = Signal(np.array([0.4, -0.2, 0.3]))
         n, M = 16, 64
         noise = simulate_levy(LevySpec(0.8, 0.7), n, M, derive_rng(9, 0))
-        det = signal_increments(sig, n, M)
+        det = n * signal_increments(sig, 1, M)
         full = ObservationPath(det + noise.increments, n, M)
         sig_only = ObservationPath(det, n, M)
         noise_only = ObservationPath(noise.increments, n, M)
@@ -86,18 +94,27 @@ class TestEstimateFourier:
         np.testing.assert_allclose(total, parts, atol=1e-12)
 
     def test_anti_aliasing_guard(self):
-        path = ObservationPath(np.zeros(4 * 16), n=4, M=16)
+        path = ObservationPath(np.zeros(16), n=4, M=16)
         with pytest.raises(ValueError):
             estimate_fourier(path, 17)
+        # a pure Tr_41 (sin 2 pi 20 t) on M = 32 midpoints reads as Tr_25
+        # (sin 2 pi 12 t): J = 60 reaches frequency 30 >= M/2 and must fail
+        path = observe(Signal(np.eye(41)[40]), zero_noise(100, 32))
+        with pytest.raises(ValueError, match="Nyquist"):
+            estimate_fourier(path, 60)
+        # the top frequency [J/2] must stay below M/2: J = M - 1 passes, J = M fails
+        assert estimate_fourier(path, 31).J == 31
+        with pytest.raises(ValueError):
+            estimate_fourier(path, 32)
 
 
 class TestVarianceProxy:
     def test_zero_path_gives_zero(self):
-        path = ObservationPath(np.zeros(16 * 64), n=16, M=64)
+        path = ObservationPath(np.zeros(64), n=16, M=64)
         assert estimate_variance_proxy(path) == 0.0
 
     def test_short_horizon_rejected(self):
-        path = ObservationPath(np.zeros(3 * 16), n=3, M=16)
+        path = ObservationPath(np.zeros(16), n=3, M=16)
         with pytest.raises(ValueError):
             estimate_variance_proxy(path)
 
@@ -106,12 +123,12 @@ class TestVarianceProxy:
         # wide-band signal: the proxy equals the directly computed tail energy
         n, M = 100, 256
         narrow = Signal(np.array([0.5, 0.3, -0.3, 0.2]))
-        path = simulate_observations(narrow, zero_noise(n, M))
+        path = observe(narrow, zero_noise(n, M))
         assert estimate_variance_proxy(path) < 1e-20
 
         rng = np.random.default_rng(12)
         wide = Signal(rng.normal(size=25) * 0.2)
-        path = simulate_observations(wide, zero_noise(n, M))
+        path = observe(wide, zero_noise(n, M))
         proxy = estimate_variance_proxy(path)
         t_hat = estimate_fourier(path, n).theta_hat
         direct = float(np.sum(t_hat[math.isqrt(n):] ** 2))
@@ -140,7 +157,7 @@ class TestVarianceProxy:
         means = []
         for n in (64, 256):
             M = max(256, 2 * n)
-            det = signal_increments(sig, n, M)
+            det = n * signal_increments(sig, 1, M)
             errs = [
                 abs(estimate_variance_proxy(
                     ObservationPath(det + simulate(spec, n, M, derive_rng(n, rep)).increments, n, M)

@@ -172,9 +172,9 @@ class TestOracleReport:
 
     def test_selection_pipeline_matches_manual_selection(self):
         from semimartreg.noise import derive_rng, simulate
-        from semimartreg.observe import simulate_observations
         from semimartreg.select import model_select
-        from semimartreg.observe import estimate_fourier, estimate_variance_proxy
+        from semimartreg.observe import (ObservationPath, estimate_fourier,
+                                         estimate_variance_proxy, signal_increments)
 
         spec = LevySpec(0.7, 0.5)
         n, M = 60, 64
@@ -183,7 +183,7 @@ class TestOracleReport:
         shrink_cfg = make_shrinkage_config("levy", grid, n, 0.74, rho_lower=0.49, d=4)
         sig = Signal(np.array([0.4, 0.2]))
         noise = simulate(spec, n, M, derive_rng(77, 0))
-        path = simulate_observations(sig, noise)
+        path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
         theta = estimate_fourier(path, cfg.J).theta_hat
         sigma = estimate_variance_proxy(path)
 
@@ -220,7 +220,7 @@ class TestOracleReport:
         cfg = SelectionConfig(delta=0.05, n=n, J=J, sigma_known=0.5)
         rep_report = oracle_report(sig, spec, grid, cfg, reps, seed, n=n, M=M)
 
-        det = signal_increments(sig, n, M)
+        det = n * signal_increments(sig, 1, M)
         theta = np.concatenate([sig.coeffs, np.zeros(J - sig.coeffs.size)])
         sums = np.zeros(grid.nu)
         for rep in range(reps):
