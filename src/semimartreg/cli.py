@@ -37,7 +37,7 @@ from .noise import (
     nominal_sigma,
     simulate,
 )
-from .observe import ObservationPath, estimate_fourier, signal_increments
+from .observe import ObservationPath, aliased, estimate_fourier, signal_increments
 from .risk import (
     ProjectionPipeline,
     SelectionPipeline,
@@ -306,13 +306,12 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
 
 
 def _check_ceiling(J: int, M: int, field: str) -> None:
-    """Estimating J coefficients reads frequencies up to [J/2] off the M cell
-    midpoints of a period, which alias from M/2 on.
+    """Reject estimating J coefficients where they alias on M midpoints.
 
     validate_config checks the J and m the config gives; a command checks
     the J it derives (the default J = n, the proxy's n) and names field M,
     the one that must grow."""
-    if 2 * (J // 2) >= M:
+    if aliased(J, M):
         raise _fail(field, f"estimating J={J} coefficients needs 2*(J//2) < M, got M={M}")
 
 

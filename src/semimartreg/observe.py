@@ -27,6 +27,7 @@ __all__ = [
     "ObservationPath",
     "FourierEstimates",
     "signal_increments",
+    "aliased",
     "estimate_fourier",
     "estimate_variance_proxy",
 ]
@@ -76,6 +77,12 @@ def signal_increments(signal: Signal, n: int, M: int) -> np.ndarray:
     return synthesize(signal, t) / M
 
 
+def aliased(J: int, M: int) -> bool:
+    """True when Tr_J's frequency [J/2] reaches M/2, where it cannot be told
+    from frequency M - [J/2] on the M cell midpoints."""
+    return 2 * (J // 2) >= M
+
+
 def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
     """theta_hat_j = (1/n) sum_i Tr_j(t_i) dy_i with t_i the cell midpoints.
 
@@ -86,7 +93,7 @@ def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
     if J < 1:
         raise ValueError("J must be >= 1")
     top = J // 2
-    if 2 * top >= path.M:
+    if aliased(J, path.M):
         raise ValueError(
             f"J={J} reaches frequency {top}, at or above the Nyquist limit "
             f"M/2={path.M / 2:g} of the M cell midpoints (needs 2*(J//2) < M)"
