@@ -11,9 +11,13 @@ fold by default, and the full path of n*M cell increments with fold=False.
   length 1/M of a full path.
 - Semi-Markov: the Levy part is folded as above, and each renewal pulse is
   added to the entry of its cell index modulo M.
-- OU: the per-period sums of a mean-reverting path depend on the whole
-  path, so there is no exact cheap fold; the full-path recursion runs and
-  is folded.
+- OU: the fold is linear in the driving increments du_p of the n periods,
+  fold = T F + S h with F the driving Levy fold and S the sum of the
+  states entering the periods (see `simulate_ou`).  (F, S) is drawn
+  exactly in law: the Brownian part of S is Gaussian given F, and each
+  jump adds its size to F and a weight set by its cell on the n*M grid
+  to S.  The full path runs the same per-period form over the n period
+  states.
 
 Every stochastic component (Brownian part, jump part, renewal clock, jump
 marks) draws from its own child stream spawned from the caller's generator,
@@ -32,7 +36,6 @@ from typing import ClassVar, Union
 
 import numpy as np
 from numpy.random import Generator, Philox, SeedSequence
-from scipy.signal import lfilter
 
 __all__ = [
     "LevySpec",
@@ -231,14 +234,24 @@ def _check_grid(n: int, M: int) -> None:
         raise ValueError("grid density M must be an integer >= 16")
 
 
-def _compound_poisson_increments(
-    spec: LevySpec, cells: int, width: float, rng: Generator
-) -> np.ndarray:
-    """Sums of a unit second-moment compound-Poisson martingale over cells
-    of length width."""
+def _compound_poisson(spec: LevySpec, cells: int, width: float, rng: Generator,
+                      periods: int = 0):
+    """A unit second-moment compound-Poisson martingale over cells of length
+    width: the sum of the jumps in each cell.
+
+    With periods > 0 each cell is the fold of `periods` cells of length
+    width/periods, one per period, and the jumps are returned one by one as
+    (position, size): the index of the jump's cell on the period-major grid
+    of periods*cells cells, and its size."""
     counts = rng.poisson(spec.jump_intensity * width, size=cells)
     s = spec.jump_scale
-    if spec.jump_dist == "normalized_gaussian":
+    gaussian = spec.jump_dist == "normalized_gaussian"
+    if periods:
+        size = int(counts.sum())
+        period = rng.integers(0, periods, size=size)
+        unit = rng.standard_normal(size) if gaussian else 2.0 * rng.integers(0, 2, size=size) - 1.0
+        return period * cells + np.repeat(np.arange(cells), counts), s * unit
+    if gaussian:
         # sum of k iid N(0, s^2) is sqrt(k)*s*N(0,1)
         return np.sqrt(counts) * s * rng.standard_normal(cells)
     heads = rng.binomial(counts, 0.5)
@@ -252,7 +265,7 @@ def _levy_increments(spec: LevySpec, cells: int, width: float, rng: Generator) -
     if spec.rho1 > 0:
         inc += spec.rho1 * math.sqrt(width) * w_rng.standard_normal(cells)
     if spec.rho2 > 0:
-        inc += spec.rho2 * _compound_poisson_increments(spec, cells, width, z_rng)
+        inc += spec.rho2 * _compound_poisson(spec, cells, width, z_rng)
     return inc
 
 
@@ -268,18 +281,96 @@ def simulate_levy(spec: LevySpec, n: int, M: int, rng: Generator, *,
     return NoisePath(_levy_increments(spec, n * M, 1.0 / M, rng), n, M)
 
 
+# A scaled cumsum multiplies by phi^-l up to e^_MAX_LOG_SCALE (about 1e260),
+# below the float64 maximum of 1.8e308.
+_MAX_LOG_SCALE = 600.0
+
+
+def _one_pole(x: np.ndarray, log_phi: float) -> np.ndarray:
+    """y_i = phi*y_{i-1} + x_i along the last axis from y_{-1} = 0,
+    phi = e^log_phi <= 1.
+
+    A scaled cumsum, y_i = phi^i sum_{l<=i} phi^-l x_l, over chunks short
+    enough that phi^-l stays finite; each chunk carries on from the last
+    state of the one before."""
+    x = np.asarray(x, dtype=np.float64)
+    m = x.shape[-1]
+    step = m if log_phi == 0.0 else max(1, int(_MAX_LOG_SCALE / -log_phi))
+    y = np.empty_like(x)
+    carried = 0.0
+    for start in range(0, m, step):
+        up = np.exp(-log_phi * np.arange(min(step, m - start)))  # phi^-l
+        stop = start + up.size
+        y[..., start:stop] = (np.cumsum(x[..., start:stop] * up, axis=-1) + carried) / up
+        carried = math.exp(log_phi) * y[..., stop - 1 : stop]
+    return y
+
+
+def _ou_period(du: np.ndarray, s, a: float) -> np.ndarray:
+    """T du + s h: the increments over one period (the last axis of du) of
+    the OU path that enters it in state s, driven by du.  T du are the
+    increments from state 0, and h_i = phi^i (phi - 1) those of the free
+    decay from state 1."""
+    M = du.shape[-1]
+    xi = _one_pole(du, a / M)
+    inc = np.multiply.outer(s, np.expm1(a / M) * np.exp(a / M * np.arange(M)))
+    inc[..., 0] += xi[..., 0]
+    inc[..., 1:] += xi[..., 1:] - xi[..., :-1]
+    return inc
+
+
+def _ou_weights(a: float, n: int, M: int) -> tuple:
+    """(g, c): g_l = phi^(M-1-l) carries du_q to the state ending period q,
+    and c_q = (1 - phi^(M(n-1-q))) / (1 - phi^M) sums that state's share of
+    the states entering the later periods (n-1-q at a = 0)."""
+    g = np.exp(a / M * np.arange(M - 1, -1, -1))
+    later = np.arange(n - 1, -1, -1, dtype=np.float64)
+    c = later if a == 0.0 else np.expm1(a * later) / np.expm1(a)
+    return g, c
+
+
+def _ou_full_path(du: np.ndarray, a: float) -> np.ndarray:
+    """Increments of the OU path driven by the (n, M) periods du, period by
+    period from the states entering each period."""
+    g, _ = _ou_weights(a, *du.shape)
+    ends = _one_pole(du @ g, a)
+    return _ou_period(du, np.concatenate(([0.0], ends[:-1])), a).ravel()
+
+
 def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
                 fold: bool = True) -> NoisePath:
-    """Per-cell recursion xi_{i+1} = exp(a/M) * xi_i + du_i, xi_0 = 0.
+    """Per-cell recursion xi_{i+1} = phi xi_i + du_i, xi_0 = 0, phi = exp(a/M),
+    observed through its increments.
 
-    OU has no exact cheap fold: the per-period sums depend on the whole
-    path, so the fold is taken of the full n*M-cell recursion."""
+    Period p of the path has increments T du_p + s_p h (`_ou_period`), with
+    s_p the state entering it, so the fold is T F + S h with F = sum_p du_p
+    the driving Levy fold and S = sum_p s_p = sum_q c_q g.du_q
+    (`_ou_weights`).  It is drawn exactly in law: the Brownian part of F as
+    by `simulate_levy`, with the Brownian part of S Gaussian given it, of mean
+    mean(c) g.F_W and variance (rho1^2/M) |g|^2 sum_q (c_q - mean(c))^2; each
+    jump, placed on the n*M grid at cell l of period q, adds its size Y to
+    F_l and c_q g_l Y to S.  The full path (fold=False) runs the per-period
+    form over the n period states of the driving full path."""
     _check_grid(n, M)
-    du = simulate_levy(spec.driving, n, M, rng, fold=False).increments
-    phi = math.exp(spec.a / M)
-    xi = lfilter([1.0], [1.0, -phi], du)
-    path = NoisePath(np.diff(xi, prepend=0.0), n, M)
-    return path.fold() if fold else path
+    drv, a = spec.driving, spec.a
+    if not fold:
+        du = simulate_levy(drv, n, M, rng, fold=False).increments
+        return NoisePath(_ou_full_path(du.reshape(n, M), a), n, M)
+    w_rng, z_rng = rng.spawn(2)
+    g, c = _ou_weights(a, n, M)
+    F, S = np.zeros(M), 0.0
+    if drv.rho1 > 0:
+        z = w_rng.standard_normal(M + 1)
+        brown = drv.rho1 * math.sqrt(n / M) * z[:M]
+        sd = drv.rho1 * math.sqrt(float(g @ g) * float(np.sum((c - c.mean()) ** 2)) / M)
+        F += brown
+        S += c.mean() * float(g @ brown) + sd * z[M]
+    if drv.rho2 > 0:
+        pos, size = _compound_poisson(drv, M, n / M, z_rng, periods=n)
+        q, l = np.divmod(pos, M)
+        F += drv.rho2 * np.bincount(l, weights=size, minlength=M)
+        S += drv.rho2 * float(np.sum(c[q] * g[l] * size))
+    return NoisePath(_ou_period(F, S, a), n, M, folded=True)
 
 
 def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator, *,

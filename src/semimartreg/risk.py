@@ -162,15 +162,18 @@ class SelectionPipeline:
 # ---------------------------------------------------------------------------
 
 
-def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray) -> float:
+def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray):
     """Squared L2 distance by Parseval: the coefficient difference, with the
-    shorter of the two sequences padded by zeros."""
+    shorter of the two sequences padded by zeros.  A 2-D est holds one
+    estimate per row and gives the array of their distances."""
     est = np.asarray(est, dtype=np.float64)
     theta_true = np.asarray(theta_true, dtype=np.float64)
-    diff = np.zeros(max(est.size, theta_true.size))
-    diff[: est.size] = est
-    diff[: theta_true.size] -= theta_true
-    return float(np.sum(diff**2))
+    J = est.shape[-1]
+    diff = np.zeros(est.shape[:-1] + (max(J, theta_true.size),))
+    diff[..., :J] = est
+    diff[..., : theta_true.size] -= theta_true
+    risks = np.sum(diff**2, axis=-1)
+    return float(risks) if est.ndim == 1 else risks
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +326,7 @@ def _oracle_score(path: ObservationPath, truth: np.ndarray, pipeline: SelectionP
                   lam_mat: np.ndarray) -> list:
     """Selected risk, the risk of every grid member, and sigma-hat."""
     result = pipeline.select(path)
-    member_risks = [l2_risk_exact(lam * result.theta_star, truth) for lam in lam_mat]
+    member_risks = l2_risk_exact(lam_mat * result.theta_star, truth)
     return [member_risks[result.index], *member_risks, result.sigma_hat]
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -75,6 +75,7 @@ class WeightGrid:
     m: int
     nu: int
     lambda_star_norm: float
+    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nu != len(self.members) or self.nu != self.k_star * self.m:
@@ -82,8 +83,14 @@ class WeightGrid:
 
     def matrix(self, J: int) -> np.ndarray:
         """Member weights truncated or zero-padded to length J, stacked as a
-        (nu, J) array; a member with nonzero weight beyond J is an error."""
-        return np.stack([_aligned(w.lam, J) for w in self.members])
+        read-only (nu, J) array, built once per J; a member with nonzero
+        weight beyond J is an error."""
+        lam_mat = self._matrices.get(J)
+        if lam_mat is None:
+            lam_mat = np.stack([_aligned(w.lam, J) for w in self.members])
+            lam_mat.flags.writeable = False
+            self._matrices[J] = lam_mat
+        return lam_mat
 
     def max_support(self) -> int:
         """Largest index j with a nonzero weight in any member."""

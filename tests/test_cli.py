@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -352,3 +356,15 @@ class TestProxyCeiling:
         })
         assert run(["improve-check", "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+
+def test_cli_import_loads_no_scipy():
+    # the package depends on numpy alone; every launch pays for its imports
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
+    probe = ("import sys, semimartreg.cli; "
+             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    assert out.stdout.strip() == "[]"

@@ -1,13 +1,14 @@
 """Fixed-seed equivalence of the folded samplers with the fold of the full path.
 
-The folded Levy and semi-Markov samplers draw other random numbers than
-the full-path ones, so the two agree in law, not draw for draw.  Over 2000
-replicates at pinned seeds, the folded sums of the two agree in mean,
-variance and 5/50/95% quantiles, and sqrt(n) theta_hat_j agree in second
-moment, each within 4 standard errors of the difference.  Every statistic
-is a mean of one value per replicate, so its standard error holds however
-the cells of one replicate depend on each other.  OU folds its full path,
-so its fold equals the fold of simulate_ou's full path on the same seed.
+The folded samplers draw other random numbers than the full-path ones, so
+the two agree in law, not draw for draw.  Over 2000 replicates at pinned
+seeds, the folded sums of the two agree in mean, variance and 5/50/95%
+quantiles, and sqrt(n) theta_hat_j agree in second moment, each within 4
+standard errors of the difference.  Every statistic is a mean of one value
+per replicate, so its standard error holds however the cells of one
+replicate depend on each other.  The OU fold also rests on an identity,
+fold = T F + S h, checked without randomness against the fold of the
+full-path recursion, and that recursion against a plain loop.
 """
 
 import math
@@ -25,8 +26,10 @@ from semimartreg.noise import (
     derive_rng,
     nominal_sigma,
     simulate,
+    simulate_levy,
     simulate_ou,
 )
+from semimartreg.noise import _ou_full_path, _ou_period, _ou_weights
 from semimartreg.observe import ObservationPath, estimate_fourier
 
 REPS, N, M, J = 2000, 8, 16, 8
@@ -38,8 +41,15 @@ SEMIMARKOV = [
     for tau in (TauDist.exponential(0.5), TauDist.uniform(0.25, 0.75))
     for y in Y_DISTS
 ]
+# Moderate and strong mean reversion.  At a = -50 the fold's sum is nearly
+# F_{M-1} - S, so E(sqrt(n) theta_hat_1)^2 weighs the law of S given F.
+OU = [
+    OuSpec(a=a, a_max=50.0, driving=LevySpec(0.8, 0.6, jump_intensity=0.5, jump_dist=d))
+    for a in (-2.0, -50.0)
+    for d in JUMP_DISTS
+]
 # (spec, seed of the folded sampler, seed of the full path), pinned
-CASES = [(spec, 6100 + i, 6200 + i) for i, spec in enumerate(LEVY + SEMIMARKOV)]
+CASES = [(spec, 6100 + i, 6200 + i) for i, spec in enumerate(LEVY + SEMIMARKOV + OU)]
 
 
 def folded_sums(spec, seed, fold):
@@ -94,10 +104,40 @@ def test_levy_fold_variance_is_exact(spec, fold_seed, full_seed):
     assert abs(second.mean() - exact) <= 4 * se
 
 
-@pytest.mark.parametrize("jump_dist", JUMP_DISTS)
-def test_ou_fold_is_fold_of_full_path(jump_dist):
-    spec = OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6, jump_dist=jump_dist))
-    for rep in range(20):
-        folded = simulate_ou(spec, N, M, derive_rng(6300, rep)).increments
-        full = simulate_ou(spec, N, M, derive_rng(6300, rep), fold=False).increments
-        np.testing.assert_allclose(folded, full.reshape(N, M).sum(axis=0), rtol=0, atol=1e-12)
+def plain_recursion(du, a):
+    """Increments of xi_{k+1} = e^{a/M} xi_k + du_k, xi_0 = 0, one cell at a time."""
+    phi = math.exp(a / du.shape[1])
+    xi, out = 0.0, []
+    for d in du.ravel():
+        nxt = phi * xi + d
+        out.append(nxt - xi)
+        xi = nxt
+    return np.array(out)
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, -50.0])
+def test_ou_fold_identity(a):
+    # fold = T F + S h with F = sum_p du_p and S = sum_q c_q g.du_q, on
+    # arbitrary driving increments with jumps of every size
+    n, m = 50, 16
+    rng = np.random.default_rng(6300)
+    du = rng.standard_normal((n, m)) * rng.exponential(size=(n, m)) ** 3
+    g, c = _ou_weights(a, n, m)
+    folded = _ou_period(du.sum(axis=0), c @ (du @ g), a)
+    full = _ou_full_path(du, a)
+    np.testing.assert_allclose(folded, full.reshape(n, m).sum(axis=0), rtol=0, atol=1e-11)
+    np.testing.assert_allclose(full, plain_recursion(du, a), rtol=0, atol=1e-11)
+
+
+def test_ou_full_path_at_a_max():
+    # a = -a_max = -50 at M = 16: phi^-M = e^50, the strongest reversion the
+    # scaled cumsum meets inside one period; the full path stays finite and
+    # equals the plain recursion on the same driving increments
+    spec = OuSpec(a=-50.0, a_max=50.0, driving=LevySpec(0.8, 0.6))
+    n, m = 40, 16
+    for rep in range(5):
+        path = simulate_ou(spec, n, m, derive_rng(6301, rep), fold=False).increments
+        du = simulate_levy(spec.driving, n, m, derive_rng(6301, rep), fold=False).increments
+        assert np.all(np.isfinite(path))
+        np.testing.assert_allclose(path, plain_recursion(du.reshape(n, m), spec.a),
+                                   rtol=0, atol=1e-12)

@@ -53,6 +53,15 @@ class TestL2RiskExact:
         th = np.array([1.0, 0.5])
         assert l2_risk_exact(est, th) == pytest.approx(0.25)
 
+    @pytest.mark.parametrize("J, T", [(12, 5), (12, 12), (5, 12)])
+    def test_rows_match_one_estimate_at_a_time(self, J, T):
+        # byte for byte, also where the truth is longer than the estimates
+        rng = np.random.default_rng(J * 100 + T)
+        for _ in range(20):
+            ests, th = rng.normal(size=(7, J)), rng.normal(size=T)
+            rows = l2_risk_exact(ests, th)
+            assert rows.tobytes() == np.array([l2_risk_exact(e, th) for e in ests]).tobytes()
+
 
 class TestMonteCarloRisk:
     def test_zero_noise_deterministic(self):
@@ -205,6 +214,30 @@ class TestOracleReport:
         a = oracle_report(sig, spec, grid, cfg, 40, 3, n=60, M=64)
         b = oracle_report(sig, spec, grid, cfg, 40, 3, n=60, M=64)
         assert a == b
+
+    def test_oracle_score_member_risks_per_member(self):
+        # every member risk of a replicate's score equals l2_risk_exact of
+        # that member's estimate, byte for byte; the truth is longer than J
+        from semimartreg.noise import derive_rng, simulate
+        from semimartreg.observe import ObservationPath, signal_increments
+        from semimartreg.risk import _oracle_score
+
+        n, M = 60, 64
+        grid = build_grid_for(n, 0.74)
+        J = grid.max_support()
+        cfg = SelectionConfig(delta=0.05, n=n, J=J)
+        shrink_cfg = make_shrinkage_config("levy", grid, n, 0.74, rho_lower=0.49, d=4)
+        pipeline = SelectionPipeline(grid=grid, config=cfg, shrink_cfg=shrink_cfg)
+        truth = np.random.default_rng(5).normal(size=J + 6) / 10
+        sig = Signal(truth)
+        lam_mat = grid.matrix(J)
+        for rep in range(5):
+            noise = simulate(LevySpec(0.7, 0.5), n, M, derive_rng(78, rep))
+            path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
+            row = _oracle_score(path, truth, pipeline, lam_mat)
+            theta_star = pipeline.select(path).theta_star
+            expected = [l2_risk_exact(lam * theta_star, truth) for lam in lam_mat]
+            assert np.array(row[1:-1]).tobytes() == np.array(expected).tobytes()
 
     def test_member_risks_match_bruteforce(self):
         # oracle: rebuild every member risk with plain sums on the same paths

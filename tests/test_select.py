@@ -93,6 +93,16 @@ class TestWeightGrid:
         with pytest.raises(ValueError, match="support beyond"):
             grid.matrix(support - 1)
 
+    def test_matrix_built_once_and_read_only(self):
+        grid = build_weight_grid(60, 1.0)
+        for J in (grid.max_support(), 60, 70):
+            lam_mat = grid.matrix(J)
+            assert grid.matrix(J) is lam_mat
+            fresh = np.stack([np.pad(w.lam, (0, max(0, J - 60)))[:J] for w in grid.members])
+            np.testing.assert_array_equal(lam_mat, fresh)
+            with pytest.raises(ValueError, match="read-only"):
+                lam_mat[0, 0] = 0.5
+
     def test_weight_vector_validation(self):
         with pytest.raises(ValueError):
             WeightVector(lam=np.array([0.5, 1.0]), alpha=(1, 1.0), omega=2.0, d=0)
