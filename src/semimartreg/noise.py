@@ -247,9 +247,10 @@ def _compound_poisson(spec: LevySpec, cells: int, width: float, rng: Generator,
     s = spec.jump_scale
     gaussian = spec.jump_dist == "normalized_gaussian"
     if periods:
-        size = int(counts.sum())
-        period = rng.integers(0, periods, size=size)
-        unit = rng.standard_normal(size) if gaussian else 2.0 * rng.integers(0, 2, size=size) - 1.0
+        total = int(counts.sum())
+        period = rng.integers(0, periods, size=total)
+        unit = (rng.standard_normal(total) if gaussian
+                else 2.0 * rng.integers(0, 2, size=total) - 1.0)
         return period * cells + np.repeat(np.arange(cells), counts), s * unit
     if gaussian:
         # sum of k iid N(0, s^2) is sqrt(k)*s*N(0,1)
@@ -366,10 +367,10 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
         F += brown
         S += c.mean() * float(g @ brown) + sd * z[M]
     if drv.rho2 > 0:
-        pos, size = _compound_poisson(drv, M, n / M, z_rng, periods=n)
+        pos, sizes = _compound_poisson(drv, M, n / M, z_rng, periods=n)
         q, l = np.divmod(pos, M)
-        F += drv.rho2 * np.bincount(l, weights=size, minlength=M)
-        S += drv.rho2 * float(np.sum(c[q] * g[l] * size))
+        F += drv.rho2 * np.bincount(l, weights=sizes, minlength=M)
+        S += drv.rho2 * float(np.sum(c[q] * g[l] * sizes))
     return NoisePath(_ou_period(F, S, a), n, M, folded=True)
 
 
