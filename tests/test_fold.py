@@ -130,9 +130,10 @@ def test_ou_fold_identity(a):
 
 
 def test_ou_full_path_at_a_max():
-    # a = -a_max = -50 at M = 16: phi^-M = e^50, the strongest reversion the
-    # scaled cumsum meets inside one period; the full path stays finite and
-    # equals the plain recursion on the same driving increments
+    # a = -a_max = -50 at M = 16: the state recursion scales by e^50 per
+    # period, so its scaled cumsum over the 40 period states runs in chunks
+    # of 12 periods; the full path stays finite and equals the plain
+    # recursion on the same driving increments
     spec = OuSpec(a=-50.0, a_max=50.0, driving=LevySpec(0.8, 0.6))
     n, m = 40, 16
     for rep in range(5):
