@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import ClassVar, Union
 
 import numpy as np
@@ -287,6 +288,16 @@ def simulate_levy(spec: LevySpec, n: int, M: int, rng: Generator, *,
 _MAX_LOG_SCALE = 600.0
 
 
+@lru_cache(maxsize=32)
+def _chunk_scales(log_phi: float, m: int) -> np.ndarray:
+    """phi^-l for l below the chunk length of `_one_pole` along m entries,
+    phi = e^log_phi (read-only)."""
+    step = m if log_phi == 0.0 else max(1, int(_MAX_LOG_SCALE / -log_phi))
+    up = np.exp(-log_phi * np.arange(min(step, m)))
+    up.flags.writeable = False
+    return up
+
+
 def _one_pole(x: np.ndarray, log_phi: float) -> np.ndarray:
     """y_i = phi*y_{i-1} + x_i along the last axis from y_{-1} = 0,
     phi = e^log_phi <= 1.
@@ -296,12 +307,12 @@ def _one_pole(x: np.ndarray, log_phi: float) -> np.ndarray:
     state of the one before."""
     x = np.asarray(x, dtype=np.float64)
     m = x.shape[-1]
-    step = m if log_phi == 0.0 else max(1, int(_MAX_LOG_SCALE / -log_phi))
+    scales = _chunk_scales(log_phi, m)
     y = np.empty_like(x)
     carried = 0.0
-    for start in range(0, m, step):
-        up = np.exp(-log_phi * np.arange(min(step, m - start)))  # phi^-l
-        stop = start + up.size
+    for start in range(0, m, scales.size):
+        stop = min(start + scales.size, m)
+        up = scales[: stop - start]
         y[..., start:stop] = (np.cumsum(x[..., start:stop] * up, axis=-1) + carried) / up
         carried = math.exp(log_phi) * y[..., stop - 1 : stop]
     return y
@@ -314,20 +325,40 @@ def _ou_period(du: np.ndarray, s, a: float) -> np.ndarray:
     decay from state 1."""
     M = du.shape[-1]
     xi = _one_pole(du, a / M)
-    inc = np.multiply.outer(s, np.expm1(a / M) * np.exp(a / M * np.arange(M)))
+    inc = np.multiply.outer(s, _free_decay(a, M))
     inc[..., 0] += xi[..., 0]
     inc[..., 1:] += xi[..., 1:] - xi[..., :-1]
     return inc
 
 
+@lru_cache(maxsize=32)
+def _free_decay(a: float, M: int) -> np.ndarray:
+    """h_i = phi^i (phi - 1), phi = e^(a/M): the increments over one period
+    of the free decay from state 1 (read-only)."""
+    h = np.expm1(a / M) * np.exp(a / M * np.arange(M))
+    h.flags.writeable = False
+    return h
+
+
+@lru_cache(maxsize=32)
 def _ou_weights(a: float, n: int, M: int) -> tuple:
     """(g, c): g_l = phi^(M-1-l) carries du_q to the state ending period q,
     and c_q = (1 - phi^(M(n-1-q))) / (1 - phi^M) sums that state's share of
-    the states entering the later periods (n-1-q at a = 0)."""
+    the states entering the later periods (n-1-q at a = 0).  Read-only."""
     g = np.exp(a / M * np.arange(M - 1, -1, -1))
     later = np.arange(n - 1, -1, -1, dtype=np.float64)
     c = later if a == 0.0 else np.expm1(a * later) / np.expm1(a)
+    g.flags.writeable = c.flags.writeable = False
     return g, c
+
+
+@lru_cache(maxsize=32)
+def _ou_fold_moments(a: float, n: int, M: int) -> tuple:
+    """(mean(c), |g|^2 sum_q (c_q - mean(c))^2) of `_ou_weights`: the mean
+    of S given the Brownian fold is mean(c) g.F_W, and rho1^2/M times the
+    second number is its variance."""
+    g, c = _ou_weights(a, n, M)
+    return float(c.mean()), float(g @ g) * float(np.sum((c - c.mean()) ** 2))
 
 
 def _ou_full_path(du: np.ndarray, a: float) -> np.ndarray:
@@ -359,13 +390,14 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
         return NoisePath(_ou_full_path(du.reshape(n, M), a), n, M)
     w_rng, z_rng = rng.spawn(2)
     g, c = _ou_weights(a, n, M)
+    c_mean, spread = _ou_fold_moments(a, n, M)
     F, S = np.zeros(M), 0.0
     if drv.rho1 > 0:
         z = w_rng.standard_normal(M + 1)
         brown = drv.rho1 * math.sqrt(n / M) * z[:M]
-        sd = drv.rho1 * math.sqrt(float(g @ g) * float(np.sum((c - c.mean()) ** 2)) / M)
+        sd = drv.rho1 * math.sqrt(spread / M)
         F += brown
-        S += c.mean() * float(g @ brown) + sd * z[M]
+        S += c_mean * float(g @ brown) + sd * z[M]
     if drv.rho2 > 0:
         pos, sizes = _compound_poisson(drv, M, n / M, z_rng, periods=n)
         q, l = np.divmod(pos, M)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import Optional
 
 import numpy as np
 
@@ -83,6 +85,15 @@ def aliased(J: int, M: int) -> bool:
     return 2 * (J // 2) >= M
 
 
+@lru_cache(maxsize=32)
+def _half_cell_phase(top: int, M: int) -> np.ndarray:
+    """e^{-i pi k/M} for k = 0..top, read-only: moves the phase of frequency
+    k from the cell starts to the cell midpoints."""
+    phase = np.exp(-1j * math.pi * np.arange(top + 1) / M)
+    phase.flags.writeable = False
+    return phase
+
+
 def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
     """theta_hat_j = (1/n) sum_i Tr_j(t_i) dy_i with t_i the cell midpoints.
 
@@ -98,7 +109,7 @@ def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
             f"J={J} reaches frequency {top}, at or above the Nyquist limit "
             f"M/2={path.M / 2:g} of the M cell midpoints (needs 2*(J//2) < M)"
         )
-    g = np.fft.rfft(path.dy)[: top + 1] * np.exp(-1j * math.pi * np.arange(top + 1) / path.M)
+    g = np.fft.rfft(path.dy)[: top + 1] * _half_cell_phase(top, path.M)
     theta = np.empty(J)
     theta[0] = g[0].real
     theta[1::2] = _SQRT2 * g[1:].real
@@ -106,10 +117,18 @@ def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
     return FourierEstimates(theta / path.n, path.n, J)
 
 
-def estimate_variance_proxy(path: ObservationPath) -> float:
-    """Tail sum of squared trigonometric estimates, j from [sqrt(n)]+1 to n."""
+def estimate_variance_proxy(path: ObservationPath,
+                            estimates: Optional[FourierEstimates] = None) -> float:
+    """Tail sum of squared trigonometric estimates, j from [sqrt(n)]+1 to n.
+
+    estimates, when given, are the first J >= n estimates from path, which
+    the proxy reads instead of transforming the path again."""
     if path.n < 4:
         raise ValueError("variance proxy needs horizon n >= 4")
-    t_hat = estimate_fourier(path, path.n).theta_hat
+    if estimates is None:
+        estimates = estimate_fourier(path, path.n)
+    elif estimates.n != path.n or estimates.J < path.n:
+        raise ValueError(f"the proxy reads n={path.n} estimates from a path on [0, {path.n}], "
+                         f"got {estimates.J} from one on [0, {estimates.n}]")
     j0 = math.isqrt(path.n)
-    return float(np.sum(t_hat[j0:] ** 2))
+    return float(np.sum(estimates.theta_hat[j0 : path.n] ** 2))

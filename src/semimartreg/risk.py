@@ -22,7 +22,6 @@ the worker starts, and `_mean_se` reduces every column of it alike.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -147,11 +146,14 @@ class SelectionPipeline:
     shrink_cfg: Optional[ShrinkageConfig] = None
 
     def select(self, path: ObservationPath) -> SelectionResult:
-        theta = estimate_fourier(path, self.config.J).theta_hat
-        sigma = self.config.sigma_known
+        J, sigma = self.config.J, self.config.sigma_known
+        # an estimated proxy reads the first n estimates: one transform
+        # serves it and the selection
+        estimates = estimate_fourier(path, J if sigma is not None else max(J, path.n))
         if sigma is None:
-            sigma = estimate_variance_proxy(path)
-        return model_select(theta, self.grid, self.config, sigma, self.shrink_cfg)
+            sigma = estimate_variance_proxy(path, estimates)
+        return model_select(estimates.theta_hat[:J], self.grid, self.config, sigma,
+                            self.shrink_cfg)
 
     def __call__(self, path: ObservationPath) -> np.ndarray:
         return self.select(path).signal.coeffs
@@ -236,6 +238,9 @@ def _map_reps(fn: Callable, reps: int, workers: int) -> list:
         raise ValueError("need reps >= 2")
     if workers <= 1:
         return [fn(rep) for rep in range(reps)]
+    # imported here, so that a one-process run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     chunk = max(1, reps // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker,
                              initargs=(fn,)) as pool:
@@ -388,13 +393,13 @@ def _improvement_score(path: ObservationPath, truth: np.ndarray, lam: np.ndarray
     """Shrunk risk, shrunk - plain risk, and the head-norm identity error."""
     theta = estimate_fourier(path, lam.size).theta_hat
     theta_star, degenerate = shrink(theta, shrink_cfg)
-    risk_star = l2_risk_exact(lam * theta_star, truth)
+    risk_star, risk_plain = l2_risk_exact(lam * np.stack([theta_star, theta]), truth)
     dev = 0.0
     if not degenerate and shrink_cfg.c_n != 0.0:
         head = float(np.sqrt(np.sum(theta[: shrink_cfg.d] ** 2)))
         head_star = float(np.sqrt(np.sum(theta_star[: shrink_cfg.d] ** 2)))
         dev = abs((head - head_star) - shrink_cfg.c_n)
-    return [risk_star, risk_star - l2_risk_exact(lam * theta, truth), dev]
+    return [risk_star, risk_star - risk_plain, dev]
 
 
 def improvement_report(

@@ -358,13 +358,23 @@ class TestProxyCeiling:
                     "--out-dir", str(tmp_path / "o")]) == EXIT_OK
 
 
-def test_cli_import_loads_no_scipy():
-    # the package depends on numpy alone; every launch pays for its imports
+def modules_after_cli_import(package: str) -> str:
+    """The modules of package loaded by a fresh `import semimartreg.cli`."""
     src = pathlib.Path(cli.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
     probe = ("import sys, semimartreg.cli; "
-             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True, timeout=120)
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # the package depends on numpy alone; every launch pays for its imports
+    assert modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the process pool is imported by the runs that use one
+    assert modules_after_cli_import("multiprocessing") == "[]"

@@ -84,6 +84,21 @@ class TestVarianceProxy:
         proxy = estimate_variance_proxy(ObservationPath(folded, n, M))
         assert proxy == pytest.approx(ref, rel=1e-10)
 
+    @SETTINGS
+    @given(fold=folds(proxy=True), data=st.data())
+    def test_handed_in_estimates_equal_path(self, fold, data):
+        # the selection hands over its first max(J, n) estimates
+        n, M, folded = fold
+        path = ObservationPath(folded, n, M)
+        J = data.draw(st.integers(n, max(n, top_J(M))), label="J")
+        assert (estimate_variance_proxy(path, estimate_fourier(path, J))
+                == estimate_variance_proxy(path))
+
+    def test_too_few_estimates_rejected(self):
+        path = ObservationPath(np.ones(64), 20, 64)
+        with pytest.raises(ValueError, match="reads n=20"):
+            estimate_variance_proxy(path, estimate_fourier(path, 19))
+
 
 levy_specs = st.builds(
     LevySpec,
