@@ -19,9 +19,12 @@ fold by default, and the full path of n*M cell increments with fold=False.
   to S.  The full path runs the same per-period form over the n period
   states.
 
-Every stochastic component (Brownian part, jump part, renewal clock, jump
-marks) draws from its own child stream spawned from the caller's generator,
-so switching one component on or off never perturbs the draws of the others.
+A path draws all of its noise from the caller's generator, one component
+after the other in a fixed order: the Brownian block, then the
+compound-Poisson jumps, then, for semi-Markov noise, the renewal clock and
+then the marks.  Every component is drawn whatever its weight, and a zero
+weight scales its draws to zero, so switching one component on or off never
+shifts the draws of the others.
 
 Seed-splitting contract: replication (and family-member) streams are derived
 as Generator(Philox(SeedSequence(entropy=master_seed, spawn_key=path))),
@@ -261,13 +264,10 @@ def _compound_poisson(spec: LevySpec, cells: int, width: float, rng: Generator,
 
 
 def _levy_increments(spec: LevySpec, cells: int, width: float, rng: Generator) -> np.ndarray:
-    """Increments of rho1*w + rho2*z over cells of length width."""
-    w_rng, z_rng = rng.spawn(2)
-    inc = np.zeros(cells)
-    if spec.rho1 > 0:
-        inc += spec.rho1 * math.sqrt(width) * w_rng.standard_normal(cells)
-    if spec.rho2 > 0:
-        inc += spec.rho2 * _compound_poisson(spec, cells, width, z_rng)
+    """Increments of rho1*w + rho2*z over cells of length width: the
+    Brownian block, then the jumps."""
+    inc = spec.rho1 * math.sqrt(width) * rng.standard_normal(cells)
+    inc += spec.rho2 * _compound_poisson(spec, cells, width, rng)
     return inc
 
 
@@ -388,21 +388,15 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
     if not fold:
         du = simulate_levy(drv, n, M, rng, fold=False).increments
         return NoisePath(_ou_full_path(du.reshape(n, M), a), n, M)
-    w_rng, z_rng = rng.spawn(2)
     g, c = _ou_weights(a, n, M)
     c_mean, spread = _ou_fold_moments(a, n, M)
-    F, S = np.zeros(M), 0.0
-    if drv.rho1 > 0:
-        z = w_rng.standard_normal(M + 1)
-        brown = drv.rho1 * math.sqrt(n / M) * z[:M]
-        sd = drv.rho1 * math.sqrt(spread / M)
-        F += brown
-        S += c_mean * float(g @ brown) + sd * z[M]
-    if drv.rho2 > 0:
-        pos, sizes = _compound_poisson(drv, M, n / M, z_rng, periods=n)
-        q, l = np.divmod(pos, M)
-        F += drv.rho2 * np.bincount(l, weights=sizes, minlength=M)
-        S += drv.rho2 * float(np.sum(c[q] * g[l] * sizes))
+    z = rng.standard_normal(M + 1)
+    F = drv.rho1 * math.sqrt(n / M) * z[:M]
+    S = c_mean * float(g @ F) + drv.rho1 * math.sqrt(spread / M) * z[M]
+    pos, sizes = _compound_poisson(drv, M, n / M, rng, periods=n)
+    q, l = np.divmod(pos, M)
+    F += drv.rho2 * np.bincount(l, weights=sizes, minlength=M)
+    S += drv.rho2 * float(np.sum(c[q] * g[l] * sizes))
     return NoisePath(_ou_period(F, S, a), n, M, folded=True)
 
 
@@ -411,28 +405,24 @@ def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator, *,
     """xi = rho1*L + rho2*X with X the renewal pulse train.
 
     rho1*L is the Levy process with Brownian weight rho1*rho_check and
-    unit-rate Gaussian jumps of weight rho1*sqrt(1-rho_check^2), drawn by
-    simulate_levy from the first two children of rng; the renewal clock
-    and the marks draw from the third and fourth.  A pulse lands in the
-    cell of its time, or in the fold in that cell's index modulo M.
+    unit-rate Gaussian jumps of weight rho1*sqrt(1-rho_check^2), drawn
+    first by simulate_levy; the renewal clock and then the marks follow on
+    the same stream.  A pulse lands in the cell of its time, or in the
+    fold in that cell's index modulo M.
     """
     mix = math.sqrt(1.0 - spec.rho_check**2)
     continuous = LevySpec(rho1=spec.rho1 * spec.rho_check, rho2=spec.rho1 * mix)
     inc = simulate_levy(continuous, n, M, rng, fold=fold).increments
-    tau_rng, y_rng = rng.spawn(2)
-    if spec.rho2 > 0:
-        times = _renewal_times(spec.tau_dist, n, tau_rng)
-        if times.size:
-            marks = (
-                y_rng.integers(0, 2, size=times.size) * 2.0 - 1.0
-                if spec.y_dist == "rademacher"
-                else y_rng.standard_normal(times.size)
-            )
-            idx = np.minimum((times * M).astype(np.int64), n * M - 1)
-            if fold:
-                idx %= M
-            inc += spec.rho2 * np.bincount(idx, weights=marks, minlength=inc.size)
-
+    times = _renewal_times(spec.tau_dist, n, rng)
+    marks = (
+        rng.integers(0, 2, size=times.size) * 2.0 - 1.0
+        if spec.y_dist == "rademacher"
+        else rng.standard_normal(times.size)
+    )
+    idx = np.minimum((times * M).astype(np.int64), n * M - 1)
+    if fold:
+        idx %= M
+    inc += spec.rho2 * np.bincount(idx, weights=marks, minlength=inc.size)
     return NoisePath(inc, n, M, folded=fold)
 
 

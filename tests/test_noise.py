@@ -19,6 +19,8 @@ from semimartreg.noise import (
     simulate_ou,
     simulate_semimarkov,
 )
+from semimartreg.noise import _chunk_scales, _free_decay, _ou_fold_moments, _ou_weights
+from semimartreg.observe import ObservationPath, _half_cell_phase, estimate_fourier
 
 
 def terminal_values(spec, n, M, reps, seed, fold=True):
@@ -258,3 +260,60 @@ class TestDeriveRng:
         a = derive_rng(42, 1).standard_normal(4)
         b = derive_rng(42, 2).standard_normal(4)
         assert not np.allclose(a, b)
+
+
+ONE_OF_EACH = [
+    LevySpec(0.6, 0.8, jump_dist="two_point"),
+    OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6)),
+    SemiMarkovSpec(0.8, 0.42, 0.5, TauDist.exponential(0.5)),
+]
+
+
+class TestOneStream:
+    @pytest.mark.parametrize("fold", [True, False])
+    @pytest.mark.parametrize("spec", ONE_OF_EACH, ids=lambda s: s.family)
+    def test_no_child_streams(self, spec, fold):
+        rng = derive_rng(11, 4)
+        simulate(spec, 8, 32, rng, fold=fold)
+        assert rng.bit_generator.seed_seq.n_children_spawned == 0
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_brownian_block_draws_first(self, fold):
+        # a pure Brownian path is the first cells draws of the stream, scaled
+        n, M = 8, 32
+        cells, width = (M, n / M) if fold else (n * M, 1.0 / M)
+        path = simulate_levy(LevySpec(0.7, 0.0), n, M, derive_rng(12, 0), fold=fold)
+        z = derive_rng(12, 0).standard_normal(cells)
+        np.testing.assert_array_equal(path.increments, 0.7 * math.sqrt(width) * z)
+
+
+class TestCachedConstants:
+    """The caches hand every caller the same arrays, so they must be
+    read-only and equal to a fresh computation after use."""
+
+    def test_read_only_and_fresh(self):
+        spec = ONE_OF_EACH[1]
+        n, M = 12, 64
+        for fold in (True, False):
+            path = simulate(spec, n, M, derive_rng(13, 0), fold=fold).fold()
+        estimate_fourier(ObservationPath(path.increments, n, M), 20)
+        a = spec.a
+        arrays = {
+            "g": (_ou_weights(a, n, M)[0], _ou_weights.__wrapped__(a, n, M)[0]),
+            "c": (_ou_weights(a, n, M)[1], _ou_weights.__wrapped__(a, n, M)[1]),
+            "h": (_free_decay(a, M), _free_decay.__wrapped__(a, M)),
+            "fold scales": (_chunk_scales(a / M, M), _chunk_scales.__wrapped__(a / M, M)),
+            "period scales": (_chunk_scales(a, n), _chunk_scales.__wrapped__(a, n)),
+            "phase": (_half_cell_phase(10, M), _half_cell_phase.__wrapped__(10, M)),
+        }
+        for name, (cached, fresh) in arrays.items():
+            assert not cached.flags.writeable, name
+            np.testing.assert_array_equal(cached, fresh, err_msg=name)
+            with pytest.raises(ValueError):
+                cached[0] = 1.0
+        assert _ou_fold_moments(a, n, M) == _ou_fold_moments.__wrapped__(a, n, M)
+
+    def test_chunk_scales_cover_a_max(self):
+        # at log phi = -50 a chunk spans 12 entries, and phi^-11 is finite
+        scales = _chunk_scales(-50.0, 40)
+        assert scales.size == 12 and np.all(np.isfinite(scales))
