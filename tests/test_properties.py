@@ -1,5 +1,6 @@
 """Property tests: the FFT estimators against their basis-matrix definitions,
-and the independence of the noise components' draws."""
+the independence of the noise components' draws, the selection against a
+brute-force minimum of its cost, and the head-norm identity of shrinkage."""
 
 import math
 from dataclasses import replace
@@ -19,6 +20,14 @@ from semimartreg.noise import (
     simulate,
 )
 from semimartreg.observe import ObservationPath, estimate_fourier, estimate_variance_proxy
+from semimartreg.select import (
+    SelectionConfig,
+    ShrinkageConfig,
+    build_weight_grid,
+    cost,
+    model_select,
+    shrink,
+)
 from semimartreg.signal import basis_matrix
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -137,3 +146,59 @@ class TestComponentSwitching:
         both = draw(spec)
         first, second = draw(replace(spec, rho2=0.0)), draw(replace(spec, rho1=0.0))
         np.testing.assert_array_equal(both, first + second)
+
+
+@st.composite
+def selections(draw):
+    """(grid, config, theta_hat, sigma_hat) on a random grid of length J."""
+    n = draw(st.integers(2, 400))
+    J = draw(st.integers(1, 60))
+    grid = build_weight_grid(n, draw(st.floats(0.1, 3.0)), k_star=draw(st.integers(1, 3)),
+                             epsilon=draw(st.floats(0.15, 1.0)), J=J)
+    config = SelectionConfig(delta=draw(st.floats(1e-3, 0.33)), n=n, J=J)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    theta = draw(st.sampled_from([1e-3, 0.1, 1.0])) * rng.standard_normal(J)
+    return grid, config, theta, draw(st.floats(0.0, 3.0))
+
+
+@st.composite
+def shrinkages(draw, J):
+    return ShrinkageConfig(d=draw(st.integers(1, J)), l_star=draw(st.floats(0.0, 50.0)),
+                           r_star=draw(st.floats(0.1, 10.0)), v_n=draw(st.floats(1.0, 1e4)),
+                           n=draw(st.integers(1, 400)))
+
+
+class TestSelection:
+    @SETTINGS
+    @given(sel=selections(), data=st.data())
+    def test_argmin_equals_bruteforce(self, sel, data):
+        grid, config, theta, sigma = sel
+        shrink_cfg = data.draw(st.none() | shrinkages(config.J), label="shrink_cfg")
+        res = model_select(theta, grid, config, sigma, shrink_cfg)
+        theta_star = theta if shrink_cfg is None else shrink(theta, shrink_cfg)[0]
+        brute = [cost(w, theta, sigma, config.delta, config.n, theta_star=theta_star)
+                 for w in grid.members]
+        # one cost per member, row by row; the selector's one matrix
+        # product may round the last bits apart, so near ties are equal
+        scale = 1e-12 * (1.0 + float(np.sum(theta_star**2)) + sigma)
+        assert brute[res.index] <= min(brute) + scale
+        assert res.cost == pytest.approx(brute[res.index], rel=1e-9, abs=scale)
+        np.testing.assert_array_equal(res.signal.coeffs,
+                                      grid.members[res.index].lam[: config.J] * theta_star)
+
+
+class TestShrink:
+    @SETTINGS
+    @given(seed=st.integers(0, 2**32 - 1), J=st.integers(1, 60),
+           scale=st.sampled_from([1e-3, 0.1, 1.0, 30.0]), data=st.data())
+    def test_head_norm_drops_by_c_n(self, seed, J, scale, data):
+        cfg = data.draw(shrinkages(J), label="cfg")
+        theta = scale * np.random.default_rng(seed).standard_normal(J)
+        out, degenerate = shrink(theta, cfg)
+        head = math.sqrt(float(np.sum(theta[: cfg.d] ** 2)))
+        head_out = math.sqrt(float(np.sum(out[: cfg.d] ** 2)))
+        np.testing.assert_array_equal(out[cfg.d:], theta[cfg.d:])
+        assert not degenerate
+        # past c_n >= |head| the factor 1 - c_n/|head| is not a contraction
+        if head > cfg.c_n:
+            assert (head - head_out) == pytest.approx(cfg.c_n, rel=0, abs=1e-12 * (1.0 + head))
