@@ -312,8 +312,3 @@ class TestCachedConstants:
             with pytest.raises(ValueError):
                 cached[0] = 1.0
         assert _ou_fold_moments(a, n, M) == _ou_fold_moments.__wrapped__(a, n, M)
-
-    def test_chunk_scales_cover_a_max(self):
-        # at log phi = -50 a chunk spans 12 entries, and phi^-11 is finite
-        scales = _chunk_scales(-50.0, 40)
-        assert scales.size == 12 and np.all(np.isfinite(scales))
