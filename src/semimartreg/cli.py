@@ -43,14 +43,13 @@ from .risk import (
     SelectionPipeline,
     _observe_rep,
     _rep_setup,
-    build_grid_for,
     efficiency_sweep,
     improvement_report,
     monte_carlo_risk,
     oracle_report,
     robust_risk,
 )
-from .select import SelectionConfig, make_shrinkage_config
+from .risk import build_grid_for  # noqa: F401  (traced by name; see risk's aliases)
 from .signal import Signal, SobolevBallSpec, sample_sobolev
 
 COMMANDS = ("simulate", "estimate", "oracle-check", "improve-check", "efficiency-sweep")
@@ -82,7 +81,7 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
     return d[key]
 
 
-def _num(value, path: str, *, lo=None, hi=None, integer=False):
+def _num(value, path: str, *, lo=None, hi=None, integer=False, positive=False):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(path, f"expected a number, got {value!r}")
     if isinstance(value, float) and not math.isfinite(value):
@@ -91,6 +90,8 @@ def _num(value, path: str, *, lo=None, hi=None, integer=False):
         raise _fail(path, f"expected an integer, got {value!r}")
     if lo is not None and value < lo:
         raise _fail(path, f"must be >= {lo}, got {value!r}")
+    if positive and not value > 0:
+        raise _fail(path, f"must be > 0, got {value!r}")
     if hi is not None and value > hi:
         raise _fail(path, f"must be <= {hi}, got {value!r}")
     return int(value) if integer else float(value)
@@ -259,15 +260,15 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
     if not isinstance(shrink_conf, dict):
         raise _fail("shrinkage", "must be an object")
     overrides = {}
-    for key in ("d", "r_star", "l_star"):
+    for key, bounds in (("d", {"lo": 1, "integer": True}), ("r_star", {"positive": True}),
+                        ("l_star", {"lo": 0})):
         if shrink_conf.get(key) is not None:
-            overrides[key] = _num(shrink_conf[key], f"shrinkage.{key}", lo=0,
-                                  integer=(key == "d"))
+            overrides[key] = _num(shrink_conf[key], f"shrinkage.{key}", **bounds)
 
     efficiency = data.get("efficiency", {})
     if efficiency:
         _num(_get(efficiency, "k", "efficiency"), "efficiency.k", lo=1, integer=True)
-        _num(_get(efficiency, "r", "efficiency"), "efficiency.r", lo=0)
+        _num(_get(efficiency, "r", "efficiency"), "efficiency.r", positive=True)
         values = _get(efficiency, "n_values", "efficiency")
         if not isinstance(values, list) or not values:
             raise _fail("efficiency.n_values", "must be a nonempty list")
@@ -309,8 +310,8 @@ def _check_ceiling(J: int, M: int, field: str) -> None:
     """Reject estimating J coefficients where they alias on M midpoints.
 
     validate_config checks the J and m the config gives; a command checks
-    the J it derives (the default J = n, the proxy's n) and names field M,
-    the one that must grow."""
+    the count it derives (the selection's estimates, the shrunk head d)
+    before any replicate and names field M, the one that must grow."""
     if aliased(J, M):
         raise _fail(field, f"estimating J={J} coefficients needs 2*(J//2) < M, got M={M}")
 
@@ -373,30 +374,17 @@ def _robustness_bounds(cfg: ExperimentConfig):
     return sigma_star, rho_lower, a_max
 
 
-def _selection_parts(cfg: ExperimentConfig, improved: bool):
+def _selection_parts(cfg: ExperimentConfig, improved: bool) -> SelectionPipeline:
+    """The selector of cfg, shrinking the head when improved."""
     sigma_star, rho_lower, a_max = _robustness_bounds(cfg)
     if not sigma_star > 0:
         raise ConfigError("config field 'noise': nominal proxy variance must be > 0 "
                           "for selection experiments")
-    grid = build_grid_for(cfg.n, sigma_star)
-    J = max(cfg.J, grid.max_support())
-    shrink_cfg = None
-    if improved:
-        shrink_cfg = make_shrinkage_config(
-            cfg.primary_noise().family, grid, cfg.n, sigma_star, rho_lower, a_max=a_max,
-            d=cfg.shrinkage_overrides.get("d"),
-            r_star=cfg.shrinkage_overrides.get("r_star"),
-            l_star_override=cfg.shrinkage_overrides.get("l_star"),
-        )
-        J = max(J, shrink_cfg.d)
-    sel_cfg = SelectionConfig(delta=cfg.delta, n=cfg.n, J=J, sigma_known=cfg.sigma_known)
-    return grid, sel_cfg, shrink_cfg
-
-
-def _check_selection_ceiling(cfg: ExperimentConfig, sel_cfg: SelectionConfig) -> None:
-    """Selection estimates sel_cfg.J coefficients, and the estimated proxy n."""
-    _check_ceiling(sel_cfg.J if cfg.sigma_known is not None else max(sel_cfg.J, cfg.n),
-                   cfg.M, "M")
+    return SelectionPipeline.build(
+        cfg.n, sigma_star, cfg.delta, J=cfg.J, sigma_known=cfg.sigma_known,
+        noise_kind=cfg.primary_noise().family if improved else None,
+        rho_lower=rho_lower, a_max=a_max, **cfg.shrinkage_overrides,
+    )
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
@@ -420,16 +408,12 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) ->
     return record
 
 
-def _pipeline_for(cfg: ExperimentConfig):
-    if cfg.estimator == "projection":
-        return ProjectionPipeline(m=cfg.projection_m), None
-    grid, sel_cfg, shrink_cfg = _selection_parts(cfg, improved=cfg.estimator == "improved")
-    _check_selection_ceiling(cfg, sel_cfg)
-    return SelectionPipeline(grid=grid, config=sel_cfg, shrink_cfg=shrink_cfg), grid
-
-
 def cmd_estimate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
-    pipeline, grid = _pipeline_for(cfg)
+    if cfg.estimator == "projection":
+        pipeline = ProjectionPipeline(m=cfg.projection_m)
+    else:
+        pipeline = _selection_parts(cfg, improved=cfg.estimator == "improved")
+        _check_ceiling(pipeline.estimates_read, cfg.M, "M")
     if cfg.family is not None:
         report = robust_risk(cfg.signal, cfg.family, pipeline, cfg.reps, cfg.seed,
                              n=cfg.n, M=cfg.M, workers=workers, estimator_id=cfg.estimator)
@@ -437,7 +421,7 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) ->
         report = monte_carlo_risk(cfg.signal, cfg.noise, pipeline, cfg.reps, cfg.seed,
                                   n=cfg.n, M=cfg.M, workers=workers, estimator_id=cfg.estimator)
     record = {**_provenance(cfg, "estimate"), "report": report.to_dict()}
-    if grid is not None:
+    if isinstance(pipeline, SelectionPipeline):
         record["selection_example"] = _example_selection(cfg, pipeline)
     rows = [[cfg.n, report.estimator_id, report.mean_risk, report.std_error,
              cfg.config_hash[:16]]]
@@ -465,11 +449,11 @@ def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> di
 
 
 def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
-    grid, sel_cfg, shrink_cfg = _selection_parts(cfg, improved=cfg.estimator == "improved")
-    _check_selection_ceiling(cfg, sel_cfg)
-    report = oracle_report(cfg.signal, cfg.primary_noise(), grid, sel_cfg, cfg.reps,
-                           cfg.seed, n=cfg.n, M=cfg.M, shrink_cfg=shrink_cfg,
-                           workers=workers)
+    pipeline = _selection_parts(cfg, improved=cfg.estimator == "improved")
+    _check_ceiling(pipeline.estimates_read, cfg.M, "M")
+    report = oracle_report(cfg.signal, cfg.primary_noise(), pipeline.grid, pipeline.config,
+                           cfg.reps, cfg.seed, n=cfg.n, M=cfg.M,
+                           shrink_cfg=pipeline.shrink_cfg, workers=workers)
     record = {**_provenance(cfg, "oracle-check"), "report": report.to_dict()}
     rows = [[i, r, s, cfg.config_hash[:16]]
             for i, (r, s) in enumerate(zip(report.member_risks, report.member_std_errors))]
@@ -479,7 +463,8 @@ def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int
 
 
 def cmd_improve_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
-    grid, sel_cfg, shrink_cfg = _selection_parts(cfg, improved=True)
+    shrink_cfg = _selection_parts(cfg, improved=True).shrink_cfg
+    _check_ceiling(shrink_cfg.d, cfg.M, "M")
     lam = np.ones(shrink_cfg.d)
     report = improvement_report(cfg.signal, cfg.primary_noise(), lam, shrink_cfg,
                                 cfg.reps, cfg.seed, n=cfg.n, M=cfg.M, workers=workers)

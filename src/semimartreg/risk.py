@@ -22,7 +22,7 @@ the worker starts, and `_mean_se` reduces every column of it alike.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import Callable, Optional, Sequence
 
@@ -43,13 +43,18 @@ from .select import (
     WeightVector,
     build_weight_grid,
     make_shrinkage_config,
+    minimax_rate_vn,
     model_select,
     shrink,
 )
-# model_select under its former name: mcbench/bench_trace.py wraps
-# risk.improved_select by name and fails if it is missing.
-from .select import improved_select  # noqa: F401
 from .signal import Signal, ellipsoid_coeffs, sample_sobolev, SobolevBallSpec
+
+# Benchmark aliases.  mcbench/bench_trace.py traces a call by replacing the
+# name its caller looks up, and it looks these up here: the selector builds
+# its grid as build_grid_for, and improved_select is model_select's former
+# name.  Both go when the tracer changes (ROADMAP item 2).
+build_grid_for = build_weight_grid
+improved_select = model_select
 
 __all__ = [
     "RiskReport",
@@ -145,14 +150,39 @@ class SelectionPipeline:
     config: SelectionConfig
     shrink_cfg: Optional[ShrinkageConfig] = None
 
+    @classmethod
+    def build(cls, n: int, sigma_star: float, delta: float, *, J: int = 1,
+              sigma_known: Optional[float] = None, noise_kind: Optional[str] = None,
+              rho_lower: Optional[float] = None, a_max: Optional[float] = None, d: Optional[int] = None,
+              r_star: Optional[float] = None, l_star: Optional[float] = None):
+        """The selector at horizon n: the grid for sigma_star, the shrinkage
+        of noise_kind when one is given (d, r_star and l_star override its
+        defaults), and J raised to the grid's support and the head length."""
+        grid = build_grid_for(n, sigma_star)
+        J = max(J, grid.max_support())
+        shrink_cfg = None
+        if noise_kind is not None:
+            shrink_cfg = make_shrinkage_config(noise_kind, grid, n, sigma_star, rho_lower,
+                                               a_max=a_max, d=d, r_star=r_star,
+                                               l_star_override=l_star)
+            J = max(J, shrink_cfg.d)
+        return cls(grid, SelectionConfig(delta=delta, n=n, J=J, sigma_known=sigma_known),
+                   shrink_cfg)
+
+    @property
+    def estimates_read(self) -> int:
+        """Coefficient estimates one selection reads: J, or max(J, n) when
+        the proxy is estimated from the first n, so that one transform
+        serves the proxy and the selection."""
+        J = self.config.J
+        return J if self.config.sigma_known is not None else max(J, self.config.n)
+
     def select(self, path: ObservationPath) -> SelectionResult:
-        J, sigma = self.config.J, self.config.sigma_known
-        # an estimated proxy reads the first n estimates: one transform
-        # serves it and the selection
-        estimates = estimate_fourier(path, J if sigma is not None else max(J, path.n))
+        estimates = estimate_fourier(path, self.estimates_read)
+        sigma = self.config.sigma_known
         if sigma is None:
             sigma = estimate_variance_proxy(path, estimates)
-        return model_select(estimates.theta_hat[:J], self.grid, self.config, sigma,
+        return model_select(estimates.theta_hat[: self.config.J], self.grid, self.config, sigma,
                             self.shrink_cfg)
 
     def __call__(self, path: ObservationPath) -> np.ndarray:
@@ -505,25 +535,21 @@ def efficiency_sweep(
     estimator_id = "improved_selection" if len(kinds) == 1 else "selection"
     rows = []
     for i_n, n in enumerate(n_values):
-        grid = build_grid_for(n, family.sigma_star)
-        support = grid.max_support()
-        J = support
-        shrink_cfg = None  # a mixed family has no common contraction bound
-        if len(kinds) == 1:
-            shrink_cfg = make_shrinkage_config(
-                next(iter(kinds)), grid, n, family.sigma_star, family.rho_lower,
-                a_max=family.a_max,
-            )
-            J = max(J, shrink_cfg.d)
-        config = SelectionConfig(delta=delta, n=n, J=J, sigma_known=family.sigma_star)
-        pipeline = SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg)
+        # a mixed family has no common contraction bound
+        pipeline = SelectionPipeline.build(
+            n, family.sigma_star, delta, sigma_known=family.sigma_star,
+            noise_kind=next(iter(kinds)) if len(kinds) == 1 else None,
+            rho_lower=family.rho_lower, a_max=family.a_max,
+        )
+        support = pipeline.grid.max_support()
 
         spec_ball = SobolevBallSpec(k=k, r=r)
         signals = [
             sample_sobolev(spec_ball, max(2, support), derive_rng(master_seed, 900 + i_n, s))
             for s in range(n_signals)
         ]
-        signals.append(worst_single_frequency(grid, k, r, family.sigma_star, n, J=config.J))
+        signals.append(worst_single_frequency(pipeline.grid, k, r, family.sigma_star, n,
+                                              J=pipeline.config.J))
 
         score = partial(_pipeline_risk, pipeline=pipeline)
         means, ses = _mean_se(_score_table(signals, family.members, score, reps, master_seed, n,
@@ -532,7 +558,7 @@ def efficiency_sweep(
         # the first maximum in (signal, member) order
         i_s, i_m = np.unravel_index(int(np.argmax(means)), means.shape)
         sup_risk, sup_se = float(means[i_s, i_m]), float(ses[i_s, i_m])
-        v_n = n / family.sigma_star
+        v_n = minimax_rate_vn(n, family.sigma_star)
         normalization = v_n ** (2.0 * k / (2 * k + 1))
         rows.append(
             EfficiencyRow(
@@ -550,10 +576,3 @@ def efficiency_sweep(
     return EfficiencyReport(estimator_id=estimator_id, k=k, r=r, pinsker=pinsker, reps=reps,
                             master_seed=master_seed, rows=tuple(rows))
 
-
-def build_grid_for(n: int, sigma_star: float) -> WeightGrid:
-    """Grid with weight vectors trimmed to their joint support."""
-    full = build_weight_grid(n, sigma_star)
-    J = max(full.max_support(), 1)
-    members = tuple(replace(w, lam=w.lam[:J].copy()) for w in full.members)
-    return replace(full, members=members)

@@ -180,13 +180,13 @@ def build_weight_grid(
     *,
     k_star: Optional[int] = None,
     epsilon: Optional[float] = None,
-    J: Optional[int] = None,
 ) -> WeightGrid:
     """Construct the grid over alpha = (beta, r), beta = 1..k*, r = eps..m*eps.
 
     Defaults: eps = 1/ln(n+1), m = [1/eps^2], k* = max(1, [sqrt(ln(n+1))]);
-    the k* floor keeps the grid nonempty at small n.  Weight vectors have
-    length J (default n).
+    the k* floor keeps the grid nonempty at small n.  A member's weights
+    vanish from j = omega on, so every weight vector has the grid's length
+    max(1, min(n, ceil(max omega) - 1)), its support.
     """
     if n < 2:
         raise ValueError("grid construction needs n >= 2")
@@ -198,22 +198,20 @@ def build_weight_grid(
     if ks < 1:
         raise ValueError("k_star must be >= 1")
     m = math.floor(1.0 / eps**2)
-    length = n if J is None else int(J)
     v_n = minimax_rate_vn(n, sigma_star)
+    alphas = [(beta, i * eps) for beta in range(1, ks + 1) for i in range(1, m + 1)]
+    omegas = [(tau_beta(beta) * r * v_n) ** (1.0 / (2 * beta + 1)) for beta, r in alphas]
 
-    j = np.arange(1, length + 1, dtype=np.float64)
+    # lam_j = 0 from j = omega on: no member has weight past ceil(max omega) - 1
+    j = np.arange(1, max(1, min(n, math.ceil(max(omegas)) - 1)) + 1, dtype=np.float64)
     members = []
-    for beta in range(1, ks + 1):
-        tb = tau_beta(beta)
-        for i in range(1, m + 1):
-            r = i * eps
-            omega = (tb * r * v_n) ** (1.0 / (2 * beta + 1))
-            d = math.floor(omega / log_n1)
-            lam = np.zeros(length)
-            lam[j <= d] = 1.0
-            mid = (j > d) & (j <= omega)
-            lam[mid] = 1.0 - (j[mid] / omega) ** beta
-            members.append(WeightVector(lam=lam, alpha=(beta, r), omega=omega, d=d))
+    for (beta, r), omega in zip(alphas, omegas):
+        d = math.floor(omega / log_n1)
+        lam = np.zeros(j.size)
+        lam[j <= d] = 1.0
+        mid = (j > d) & (j <= omega)
+        lam[mid] = 1.0 - (j[mid] / omega) ** beta
+        members.append(WeightVector(lam=lam, alpha=(beta, r), omega=omega, d=d))
 
     lam_star = 1.0 + max(w.weight_sum() for w in members)
     return WeightGrid(
@@ -314,11 +312,6 @@ def model_select(
         theta_star=theta_star,
         degenerate_shrinkage=degenerate,
     )
-
-
-# Former name of the shrunk selection; mcbench/bench_trace.py still wraps
-# risk.improved_select by name, so the alias stays.  Not a second path.
-improved_select = model_select
 
 
 def ou_min_dimension(a_max: float) -> int:

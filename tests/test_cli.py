@@ -255,6 +255,10 @@ class TestValidation:
         ("noise", {"family": "ou", "a": -0.5, "a_max": 1.0,
                    "driving": {"family": "ou", "a": -0.5, "a_max": 1.0,
                                "driving": {"family": "levy", "rho1": 0.8, "rho2": 0.6}}}),
+        # out of range, which a run would only meet mid-command
+        ("efficiency", {"k": 1, "r": 0, "n_values": [10, 20]}),
+        ("shrinkage", {"d": 0}),
+        ("shrinkage", {"r_star": 0}),
     ])
     def test_wrongly_shaped_config_is_a_config_error(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, "shape.json", {
@@ -325,16 +329,20 @@ class TestProxyCeiling:
             "n": 100, "M": 64, "J": 10, "reps": 4, "seed": 8, **extra,
         })
 
-    @pytest.mark.parametrize("command", ["oracle-check", "estimate"])
-    @pytest.mark.parametrize("estimator", ["selection", "improved"])
-    def test_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch, command,
-                                           estimator):
+    @staticmethod
+    def forbid_replicates(monkeypatch):
         from semimartreg import risk
 
         def no_replicates(*args, **kwargs):
             raise AssertionError("a replicate ran")
 
         monkeypatch.setattr(risk, "_map_reps", no_replicates)
+
+    @pytest.mark.parametrize("command", ["oracle-check", "estimate"])
+    @pytest.mark.parametrize("estimator", ["selection", "improved"])
+    def test_rejected_before_any_replicate(self, tmp_path, capsys, monkeypatch, command,
+                                           estimator):
+        self.forbid_replicates(monkeypatch)
         cfg = self.config(tmp_path, estimator=estimator)
         assert run([command, "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
@@ -345,17 +353,30 @@ class TestProxyCeiling:
         assert run(["oracle-check", "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_OK
 
-    def test_improve_check_needs_no_proxy(self, tmp_path):
-        # the small OU improvement config: d = 60 coefficients on M = 64
-        cfg = write_config(tmp_path, "improve.json", {
+    @staticmethod
+    def improve_config(tmp_path, d):
+        return write_config(tmp_path, "improve.json", {
             "signal": {"coeffs": [0.5, 0.3, 0.2]},
             "noise": {"family": "ou", "a": -0.5, "a_max": 1.0,
                       "driving": {"family": "levy", "rho1": 1.0, "rho2": 0.5}},
             "n": 100, "M": 64, "reps": 4, "seed": 8,
-            "estimator": "improved", "shrinkage": {"d": 60},
+            "estimator": "improved", "shrinkage": {"d": d},
         })
+
+    def test_improve_check_needs_no_proxy(self, tmp_path):
+        # the small OU improvement config: d = 60 coefficients on M = 64
+        cfg = self.improve_config(tmp_path, 60)
         assert run(["improve-check", "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_improve_check_head_rejected_before_any_replicate(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # d = 70 shrunk coefficients reach frequency 35 >= M/2 = 32
+        self.forbid_replicates(monkeypatch)
+        cfg = self.improve_config(tmp_path, 70)
+        assert run(["improve-check", "--config", cfg, "--workers", "1",
+                    "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
+        assert "config field 'M'" in capsys.readouterr().err
 
 
 def modules_after_cli_import(package: str) -> str:

@@ -173,7 +173,7 @@ class TestOracleReport:
         from semimartreg.select import build_weight_grid
 
         spec = LevySpec(1.0, 0.0)
-        grid = build_weight_grid(50, 1.0, k_star=1, epsilon=1.0, J=8)
+        grid = build_weight_grid(50, 1.0, k_star=1, epsilon=1.0)
         sig = Signal(np.array([0.4, 0.2]))
         cfg = SelectionConfig(delta=0.05, n=50, J=8, sigma_known=1.0)
         report = oracle_report(sig, spec, grid, cfg, 100, 15, n=50, M=64)

@@ -1,6 +1,7 @@
 """Weight grid, cost, selection and shrinkage tests."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,26 +80,52 @@ class TestWeightGrid:
         alphas = [w.alpha for w in grid.members]
         assert alphas == sorted(alphas)
 
+    @staticmethod
+    def length_n_member(n, sigma_star, beta, r):
+        """Member (beta, r) by its formula, at length n."""
+        omega = (tau_beta(beta) * r * minimax_rate_vn(n, sigma_star)) ** (1.0 / (2 * beta + 1))
+        d = math.floor(omega / math.log(n + 1))
+        j = np.arange(1, n + 1, dtype=np.float64)
+        return np.where(j <= d, 1.0, np.where(j <= omega, 1.0 - (j / omega) ** beta, 0.0))
+
+    @pytest.mark.parametrize("n, sigma_star", [(2, 1000.0), (100, 1.0), (800, 1.0),
+                                               (51200, 1.0)])
+    def test_members_are_the_length_n_formula_at_the_support(self, n, sigma_star):
+        # n = 2 at sigma* = 1000 has no support: every member is one zero
+        grid = build_weight_grid(n, sigma_star)
+        support = grid.max_support()
+        assert (support == 0) == (n == 2)
+        for w in grid.members:
+            full = self.length_n_member(n, sigma_star, *w.alpha)
+            assert not full[support:].any()
+            np.testing.assert_array_equal(w.lam, full[: max(1, support)])
+
     def test_matrix_pads_and_truncates(self):
         grid = build_weight_grid(60, 1.0)
         support = grid.max_support()
         assert 1 < support < 60
         full = np.stack([w.lam for w in grid.members])
-        np.testing.assert_array_equal(grid.matrix(60), full)
-        np.testing.assert_array_equal(grid.matrix(support), full[:, :support])
-        padded = grid.matrix(70)
-        assert padded.shape == (grid.nu, 70)
-        np.testing.assert_array_equal(padded[:, :60], full)
-        assert not padded[:, 60:].any()
+        assert full.shape == (grid.nu, support)
+        np.testing.assert_array_equal(grid.matrix(support), full)
+        padded = grid.matrix(60)
+        assert padded.shape == (grid.nu, 60)
+        np.testing.assert_array_equal(padded[:, :support], full)
+        assert not padded[:, support:].any()
         with pytest.raises(ValueError, match="support beyond"):
             grid.matrix(support - 1)
+        # members longer than their support lose only their zero tail
+        long = replace(grid, members=tuple(replace(w, lam=np.pad(w.lam, (0, 60 - support)))
+                                           for w in grid.members))
+        np.testing.assert_array_equal(long.matrix(support), full)
+        with pytest.raises(ValueError, match="support beyond"):
+            long.matrix(support - 1)
 
     def test_matrix_built_once_and_read_only(self):
         grid = build_weight_grid(60, 1.0)
         for J in (grid.max_support(), 60, 70):
             lam_mat = grid.matrix(J)
             assert grid.matrix(J) is lam_mat
-            fresh = np.stack([np.pad(w.lam, (0, max(0, J - 60)))[:J] for w in grid.members])
+            fresh = np.stack([np.pad(w.lam, (0, J - w.lam.size)) for w in grid.members])
             np.testing.assert_array_equal(lam_mat, fresh)
             with pytest.raises(ValueError, match="read-only"):
                 lam_mat[0, 0] = 0.5
@@ -158,7 +185,7 @@ class TestPenaltyAndCost:
 
 class TestModelSelect:
     def test_singleton_grid(self):
-        grid = build_weight_grid(20, 1.0, k_star=1, epsilon=1.0, J=8)
+        grid = build_weight_grid(20, 1.0, k_star=1, epsilon=1.0)
         assert grid.nu == 1
         cfg = SelectionConfig(delta=0.05, n=20, J=8)
         res = model_select(np.ones(8), grid, cfg, 0.5)
@@ -166,7 +193,7 @@ class TestModelSelect:
 
     def test_argmin_matches_bruteforce(self):
         rng = np.random.default_rng(21)
-        grid = build_weight_grid(80, 1.0, J=20)
+        grid = build_weight_grid(80, 1.0)
         cfg = SelectionConfig(delta=0.1, n=80, J=20)
         for _ in range(10):
             th = rng.normal(size=20) * 0.5
@@ -181,23 +208,23 @@ class TestModelSelect:
         rng = np.random.default_rng(22)
         theta = np.zeros(30)
         theta[:5] = rng.normal(size=5)
-        grid = build_weight_grid(100, 1.0, J=30)
+        grid = build_weight_grid(100, 1.0)
         cfg = SelectionConfig(delta=1e-9, n=100, J=30)
         res = model_select(theta, grid, cfg, 0.0)
-        errs = [float(np.sum((w.lam * theta - theta) ** 2)) for w in grid.members]
+        errs = [float(np.sum((lam * theta - theta) ** 2)) for lam in grid.matrix(30)]
         sel_err = float(np.sum((res.signal.coeffs - theta) ** 2))
         assert sel_err <= min(errs) + 1e-12
 
     def test_argmin_invariant_to_constant_shift(self):
         rng = np.random.default_rng(23)
-        grid = build_weight_grid(60, 1.0, J=15)
+        grid = build_weight_grid(60, 1.0)
         cfg = SelectionConfig(delta=0.05, n=60, J=15)
         th = rng.normal(size=15)
         base = np.array([cost(w, th, 0.7, cfg.delta, cfg.n) for w in grid.members])
         assert int(np.argmin(base)) == int(np.argmin(base + 123.456))
 
     def test_first_minimizer_tie_break(self):
-        grid = build_weight_grid(20, 1.0, k_star=2, epsilon=1.0, J=8)
+        grid = build_weight_grid(20, 1.0, k_star=2, epsilon=1.0)
         cfg = SelectionConfig(delta=0.05, n=20, J=8)
         res = model_select(np.zeros(8), grid, cfg, 0.0)
         costs = [cost(w, np.zeros(8), 0.0, cfg.delta, cfg.n) for w in grid.members]
@@ -276,7 +303,7 @@ class TestShrink:
 class TestImprovedSelect:
     def test_zero_budget_equals_standard(self):
         rng = np.random.default_rng(41)
-        grid = build_weight_grid(50, 1.0, J=12)
+        grid = build_weight_grid(50, 1.0)
         cfg = SelectionConfig(delta=0.05, n=50, J=12)
         shrink_cfg = ShrinkageConfig(d=4, l_star=0.0, r_star=2.0, v_n=50.0, n=50)
         th = rng.normal(size=12)
@@ -287,7 +314,7 @@ class TestImprovedSelect:
 
     def test_argmin_matches_bruteforce(self):
         rng = np.random.default_rng(42)
-        grid = build_weight_grid(80, 1.0, J=20)
+        grid = build_weight_grid(80, 1.0)
         cfg = SelectionConfig(delta=0.1, n=80, J=20)
         shrink_cfg = ShrinkageConfig(d=6, l_star=3.0, r_star=4.0, v_n=80.0, n=80)
         for _ in range(10):
@@ -299,7 +326,7 @@ class TestImprovedSelect:
             assert res.index == int(np.argmin(brute))
 
     def test_degenerate_head_falls_back(self):
-        grid = build_weight_grid(50, 1.0, J=12)
+        grid = build_weight_grid(50, 1.0)
         cfg = SelectionConfig(delta=0.05, n=50, J=12)
         shrink_cfg = ShrinkageConfig(d=4, l_star=1.0, r_star=2.0, v_n=50.0, n=50)
         th = np.concatenate([np.zeros(4), np.array([1.0, 0.5]), np.zeros(6)])
