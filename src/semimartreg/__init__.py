@@ -11,6 +11,15 @@ risk     Monte Carlo risk reports: oracle, improvement, efficiency
 cli      configuration-driven experiment runner
 """
 
+import os
+
+# Parallelism comes from the process pool (--workers) alone, and every BLAS
+# call the package makes is tiny, so a BLAS thread pool in each process only
+# costs start-up time.  Set before any submodule imports numpy; a value the
+# user has set is kept, and pool workers inherit it.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
+
 __version__ = "0.1.0"
 
 from .signal import Signal, SobolevBallSpec, trig_basis, synthesize, fourier_coeffs, sample_sobolev, sobolev_norm

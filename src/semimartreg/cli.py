@@ -508,6 +508,14 @@ HANDLERS = {
 }
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS keeps
+    one (taskset, cpusets), else every CPU of the host."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semimartreg",
@@ -518,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--reps", type=int, default=None, help="override the replication count")
     parser.add_argument("--out-dir", default="out", help="output directory")
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--workers", type=int, default=_usable_cpus())
     parser.add_argument("--format", choices=("json", "csv"), default="csv",
                         help="table format (the JSON run record is always written)")
     return parser

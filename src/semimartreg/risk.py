@@ -14,9 +14,11 @@ robust risk, the efficiency sweep), the selected risk with the risk of
 each grid member and sigma-hat (oracle report), or the shrunk risk with the
 paired shrunk - plain difference and the head-norm identity error
 (improvement report).  Members share the replication streams (common
-random numbers), so the columns of a table are paired.  A table is one map
-over replicate indices, whose function reaches each pool worker once, when
-the worker starts, and `_mean_se` reduces every column of it alike.
+random numbers), so the columns of a table are paired.  A report is one map
+over replicate indices, which fills every table of the report (one per
+horizon of the efficiency sweep) and so starts at most one process pool; its
+function reaches each pool worker once, when the worker starts, and
+`_mean_se` reduces every column of a table alike.
 """
 
 from __future__ import annotations
@@ -266,6 +268,8 @@ def _call_worker(rep: int):
 def _map_reps(fn: Callable, reps: int, workers: int) -> list:
     if reps < 2:
         raise ValueError("need reps >= 2")
+    # a fork pool starts all of its workers at once, busy or not
+    workers = min(workers, reps)
     if workers <= 1:
         return [fn(rep) for rep in range(reps)]
     # imported here, so that a one-process run never loads multiprocessing
@@ -277,10 +281,16 @@ def _map_reps(fn: Callable, reps: int, workers: int) -> list:
         return list(pool.map(_call_worker, range(reps), chunksize=chunk))
 
 
-def _score_table(signals, specs, score: Callable, reps, master_seed, n, M, workers) -> np.ndarray:
-    """The (reps, signals, members, columns) table of one experiment."""
-    setup = _rep_setup(signals, specs, master_seed, n, M)
-    return np.stack(_map_reps(partial(_score_rep, setup=setup, score=score), reps, workers))
+def _score_jobs(rep: int, jobs: tuple) -> list:
+    """Scores of replicate rep under every (setup, score) job, in job order."""
+    return [_score_rep(rep, setup, score) for setup, score in jobs]
+
+
+def _score_tables(jobs: Sequence, reps: int, workers: int) -> list:
+    """The (reps, signals, members, columns) table of every (setup, score)
+    job, all filled by one map over the replicates."""
+    rows = _map_reps(partial(_score_jobs, jobs=tuple(jobs)), reps, workers)
+    return [np.stack(tables) for tables in zip(*rows)]
 
 
 def _mean_se(table: np.ndarray) -> tuple:
@@ -310,8 +320,9 @@ def monte_carlo_risk(
     estimator_id: str = "estimator",
 ) -> RiskReport:
     """Mean and standard error of the exact risk over independent replications."""
-    score = partial(_pipeline_risk, pipeline=pipeline)
-    means, ses = _mean_se(_score_table((signal,), (spec,), score, reps, master_seed, n, M, workers))
+    setup = _rep_setup((signal,), (spec,), master_seed, n, M)
+    (table,) = _score_tables([(setup, partial(_pipeline_risk, pipeline=pipeline))], reps, workers)
+    means, ses = _mean_se(table)
     return RiskReport(
         estimator_id=estimator_id, mean_risk=float(means[0, 0, 0]), std_error=float(ses[0, 0, 0]),
         reps=reps, master_seed=master_seed,
@@ -335,9 +346,9 @@ def robust_risk(
     Members share the per-replication streams (common seeds), so each
     member's risk is its monte_carlo_risk exactly.
     """
-    score = partial(_pipeline_risk, pipeline=pipeline)
-    means, ses = _mean_se(_score_table((signal,), family.members, score, reps, master_seed, n,
-                                       M, workers))
+    setup = _rep_setup((signal,), family.members, master_seed, n, M)
+    (table,) = _score_tables([(setup, partial(_pipeline_risk, pipeline=pipeline))], reps, workers)
+    means, ses = _mean_se(table)
     means, ses = means[0, :, 0], ses[0, :, 0]
     worst = int(np.argmax(means))
     return RiskReport(
@@ -388,7 +399,9 @@ def oracle_report(
         _oracle_score, pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg),
         lam_mat=grid.matrix(config.J),
     )
-    means, ses = _mean_se(_score_table((signal,), (spec,), score, reps, master_seed, n, M, workers))
+    setup = _rep_setup((signal,), (spec,), master_seed, n, M)
+    (table,) = _score_tables([(setup, score)], reps, workers)
+    means, ses = _mean_se(table)
     means, ses = means[0, 0], ses[0, 0]
     lhs, lhs_se = float(means[0]), float(ses[0])
     member_means, member_ses = means[1:-1], ses[1:-1]
@@ -455,7 +468,8 @@ def improvement_report(
     lam = weights.lam if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
     lam = np.pad(lam, (0, max(0, shrink_cfg.d - lam.size)))
     score = partial(_improvement_score, lam=lam, shrink_cfg=shrink_cfg)
-    table = _score_table((signal,), (spec,), score, reps, master_seed, n, M, workers)
+    setup = _rep_setup((signal,), (spec,), master_seed, n, M)
+    (table,) = _score_tables([(setup, score)], reps, workers)
     means, ses = _mean_se(table)
     return RiskReport(
         estimator_id="shrunk_fixed_weights",
@@ -533,7 +547,7 @@ def efficiency_sweep(
     pinsker = pinsker_constant(k, r)
     kinds = {member.family for member in family.members}
     estimator_id = "improved_selection" if len(kinds) == 1 else "selection"
-    rows = []
+    jobs = []
     for i_n, n in enumerate(n_values):
         # a mixed family has no common contraction bound
         pipeline = SelectionPipeline.build(
@@ -550,10 +564,14 @@ def efficiency_sweep(
         ]
         signals.append(worst_single_frequency(pipeline.grid, k, r, family.sigma_star, n,
                                               J=pipeline.config.J))
+        jobs.append((_rep_setup(signals, family.members, master_seed, n, M),
+                     partial(_pipeline_risk, pipeline=pipeline)))
 
-        score = partial(_pipeline_risk, pipeline=pipeline)
-        means, ses = _mean_se(_score_table(signals, family.members, score, reps, master_seed, n,
-                                           M, workers))
+    # every horizon reads the streams of (master_seed, rep), so one map over
+    # the replicates fills all of their tables
+    rows = []
+    for n, table in zip(n_values, _score_tables(jobs, reps, workers)):
+        means, ses = _mean_se(table)
         means, ses = means[..., 0], ses[..., 0]
         # the first maximum in (signal, member) order
         i_s, i_m = np.unravel_index(int(np.argmax(means)), means.shape)

@@ -379,16 +379,50 @@ class TestProxyCeiling:
         assert "config field 'M'" in capsys.readouterr().err
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def run_fresh(probe: str, **environ) -> str:
+    """Stdout of probe in a fresh interpreter that finds the package, with
+    the BLAS thread variables unset unless environ sets them."""
+    src = pathlib.Path(cli.__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(src), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-c", probe], env={**env, **environ},
+                         capture_output=True, text=True, check=True, timeout=120)
+    return out.stdout.strip()
+
+
 def modules_after_cli_import(package: str) -> str:
     """The modules of package loaded by a fresh `import semimartreg.cli`."""
-    src = pathlib.Path(cli.__file__).resolve().parents[1]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (str(src), os.environ.get("PYTHONPATH")) if p)}
-    probe = ("import sys, semimartreg.cli; "
-             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True, timeout=120)
-    return out.stdout.strip()
+    return run_fresh("import sys, semimartreg.cli; "
+                     f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
+
+
+# the thread variables and the OS threads (-1 without /proc) after a fresh import
+THREADS_PROBE = ("import os, semimartreg; "
+                 f"print(*(os.environ.get(v) for v in {BLAS_THREAD_VARS!r}), "
+                 "len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else -1)")
+
+
+def test_import_pins_blas_to_one_thread():
+    # parallelism comes from the process pool alone
+    openblas, omp, threads = run_fresh(THREADS_PROBE).split()
+    assert (openblas, omp) == ("1", "1")
+    if threads == "-1":
+        pytest.skip("no /proc/self/task to count threads in")
+    assert threads == "1"
+
+
+def test_import_keeps_a_blas_thread_count_the_user_set():
+    openblas, omp, _ = run_fresh(THREADS_PROBE, OPENBLAS_NUM_THREADS="2").split()
+    assert (openblas, omp) == ("2", "1")
+
+
+def test_default_workers_count_usable_cpus(monkeypatch):
+    # under taskset or a cpuset the process may use fewer CPUs than the host has
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert cli.build_parser().get_default("workers") == 1
 
 
 def test_cli_import_loads_no_scipy():

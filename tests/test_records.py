@@ -43,7 +43,8 @@ CASES = {
     "estimate_three_kinds": ("estimate", "tests/golden/configs/family_three_kinds.json", 20),
 }
 # cases that also run through the process pool
-POOLED = ("efficiency_sweep_mixed", "estimate_mixed", "estimate_three_kinds")
+POOLED = ("efficiency_sweep", "efficiency_sweep_mixed", "estimate_mixed", "estimate_three_kinds",
+          "improve_check")
 
 
 def run_case(case: str, fmt: str, out_dir: pathlib.Path, workers: int = 1) -> int:

@@ -111,6 +111,35 @@ class TestMonteCarloRisk:
                              ProjectionPipeline(m=1), 1, 0, n=4, M=32)
 
 
+class TestReplicateMap:
+    def test_pool_no_larger_than_its_tasks(self, monkeypatch):
+        # a fork pool starts all of its workers at once; this one runs inline
+        import concurrent.futures
+
+        from semimartreg import risk
+
+        sizes = []
+
+        class InlinePool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(risk, "_worker_fn", None)
+        assert risk._map_reps(lambda rep: rep * rep, 3, 8) == [0, 1, 4]
+        assert sizes == [3]
+
+
 class TestRobustRisk:
     def test_singleton_equals_monte_carlo(self):
         sig = Signal(np.array([0.3]))
@@ -353,6 +382,23 @@ class TestEfficiencySweep:
         for fam, label in ((levy, "improved_selection"), (mixed, "selection")):
             report = efficiency_sweep(1, 1.0, fam, [50], 2, 3, M=64, n_signals=1)
             assert report.estimator_id == label
+
+    def test_one_pool_for_all_horizons(self, monkeypatch):
+        import concurrent.futures
+
+        pools = []
+
+        class CountingPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(kwargs["max_workers"])
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        fam = RobustFamily(members=(LevySpec(1.0, 0.0),), rho_lower=0.9, sigma_star=1.0)
+        args = (1, 1.0, fam, [50, 100, 200], 4, 19)
+        pooled = efficiency_sweep(*args, M=64, n_signals=1, workers=2)
+        assert pools == [2]
+        assert pooled == efficiency_sweep(*args, M=64, n_signals=1, workers=1)
 
     def test_normalization_matches_reference(self):
         # v_n = n at sigma_star = 1; exponent 2k/(2k+1) = 2/3 at k = 1
