@@ -47,8 +47,6 @@ from .select import (
     minimax_rate_vn,
     tau_beta,
     build_weight_grid,
-    penalty,
-    cost,
     model_select,
     l_star,
     ou_min_dimension,

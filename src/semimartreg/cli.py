@@ -280,8 +280,8 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
             prev = v
         _num(efficiency.get("n_signals", 3), "efficiency.n_signals", lo=0, integer=True)
 
-    # J defaults to n, which only the commands that estimate J coefficients
-    # check against M (see _check_ceiling)
+    # J, read by simulate alone, defaults to n, which simulate checks
+    # against M itself (see _check_ceiling)
     if "J" in data:
         _check_ceiling(J, M, "J")
     if estimator == "projection":
@@ -310,8 +310,8 @@ def _check_ceiling(J: int, M: int, field: str) -> None:
     """Reject estimating J coefficients where they alias on M midpoints.
 
     validate_config checks the J and m the config gives; a command checks
-    the count it derives (the selection's estimates, the shrunk head d)
-    before any replicate and names field M, the one that must grow."""
+    the count it reads (simulate's J, the selection's estimates, the shrunk
+    head d) before any replicate and names field M, the one that must grow."""
     if aliased(J, M):
         raise _fail(field, f"estimating J={J} coefficients needs 2*(J//2) < M, got M={M}")
 
@@ -364,7 +364,12 @@ def _emit_tables(record: dict, tables: list, out_dir: str, fmt: str) -> None:
 
 def _robustness_bounds(cfg: ExperimentConfig):
     """(sigma_star, rho_lower, a_max) from the family, or nominal values of
-    the single configured spec."""
+    the single configured spec.
+
+    A single spec gives rho_lower = rho1^2, or 1e-6 when rho1 = 0: a spec
+    without a Brownian part has no lower bound of its own, and the tiny
+    positive value keeps a valid, nearly zero shrinkage budget c_n rather
+    than rejecting the config."""
     if cfg.family is not None:
         return cfg.family.sigma_star, cfg.family.rho_lower, cfg.family.a_max
     spec = cfg.noise
@@ -381,7 +386,7 @@ def _selection_parts(cfg: ExperimentConfig, improved: bool) -> SelectionPipeline
         raise ConfigError("config field 'noise': nominal proxy variance must be > 0 "
                           "for selection experiments")
     return SelectionPipeline.build(
-        cfg.n, sigma_star, cfg.delta, J=cfg.J, sigma_known=cfg.sigma_known,
+        cfg.n, sigma_star, cfg.delta, sigma_known=cfg.sigma_known,
         noise_kind=cfg.primary_noise().family if improved else None,
         rho_lower=rho_lower, a_max=a_max, **cfg.shrinkage_overrides,
     )

@@ -194,13 +194,6 @@ class NoisePath:
             raise ValueError("noise increments must be finite")
         object.__setattr__(self, "increments", arr)
 
-    def fold(self) -> "NoisePath":
-        """The M per-period sums of the path."""
-        if self.folded:
-            return self
-        sums = self.increments.reshape(self.n, self.M).sum(axis=0)
-        return NoisePath(sums, self.n, self.M, folded=True)
-
 
 @dataclass(frozen=True)
 class RobustFamily:

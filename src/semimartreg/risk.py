@@ -13,8 +13,10 @@ row of numbers: the exact risk of an estimate (Monte Carlo and
 robust risk, the efficiency sweep), the selected risk with the risk of
 each grid member and sigma-hat (oracle report), or the shrunk risk with the
 paired shrunk - plain difference and the head-norm identity error
-(improvement report).  Members share the replication streams (common
-random numbers), so the columns of a table are paired.  A report is one map
+(improvement report).  A selection reads the grid's width of estimates, or
+the shrunk head when that is longer, and an estimated proxy reads n.
+Members share the replication streams (common random numbers), so the
+columns of a table are paired.  A report is one map
 over replicate indices, which fills every table of the report (one per
 horizon of the efficiency sweep) and so starts at most one process pool; its
 function reaches each pool worker once, when the worker starts, and
@@ -42,7 +44,6 @@ from .select import (
     SelectionResult,
     ShrinkageConfig,
     WeightGrid,
-    WeightVector,
     build_weight_grid,
     make_shrinkage_config,
     minimax_rate_vn,
@@ -153,30 +154,34 @@ class SelectionPipeline:
     shrink_cfg: Optional[ShrinkageConfig] = None
 
     @classmethod
-    def build(cls, n: int, sigma_star: float, delta: float, *, J: int = 1,
+    def build(cls, n: int, sigma_star: float, delta: float, *,
               sigma_known: Optional[float] = None, noise_kind: Optional[str] = None,
               rho_lower: Optional[float] = None, a_max: Optional[float] = None, d: Optional[int] = None,
               r_star: Optional[float] = None, l_star: Optional[float] = None):
-        """The selector at horizon n: the grid for sigma_star, the shrinkage
-        of noise_kind when one is given (d, r_star and l_star override its
-        defaults), and J raised to the grid's support and the head length."""
+        """The selector at horizon n: the grid for sigma_star, and the
+        shrinkage of noise_kind when one is given (d, r_star and l_star
+        override its defaults)."""
         grid = build_grid_for(n, sigma_star)
-        J = max(J, grid.max_support())
         shrink_cfg = None
         if noise_kind is not None:
             shrink_cfg = make_shrinkage_config(noise_kind, grid, n, sigma_star, rho_lower,
                                                a_max=a_max, d=d, r_star=r_star,
                                                l_star_override=l_star)
-            J = max(J, shrink_cfg.d)
-        return cls(grid, SelectionConfig(delta=delta, n=n, J=J, sigma_known=sigma_known),
-                   shrink_cfg)
+        return cls(grid, SelectionConfig(delta=delta, n=n, sigma_known=sigma_known), shrink_cfg)
+
+    @property
+    def J(self) -> int:
+        """Estimates the selector is given: the grid's width, or the shrunk
+        head length d when that is longer."""
+        width = self.grid.lam.shape[1]
+        return width if self.shrink_cfg is None else max(width, self.shrink_cfg.d)
 
     @property
     def estimates_read(self) -> int:
         """Coefficient estimates one selection reads: J, or max(J, n) when
         the proxy is estimated from the first n, so that one transform
         serves the proxy and the selection."""
-        J = self.config.J
+        J = self.J
         return J if self.config.sigma_known is not None else max(J, self.config.n)
 
     def select(self, path: ObservationPath) -> SelectionResult:
@@ -184,7 +189,7 @@ class SelectionPipeline:
         sigma = self.config.sigma_known
         if sigma is None:
             sigma = estimate_variance_proxy(path, estimates)
-        return model_select(estimates.theta_hat[: self.config.J], self.grid, self.config, sigma,
+        return model_select(estimates.theta_hat[: self.J], self.grid, self.config, sigma,
                             self.shrink_cfg)
 
     def __call__(self, path: ObservationPath) -> np.ndarray:
@@ -368,11 +373,11 @@ def robust_risk(
 # ---------------------------------------------------------------------------
 
 
-def _oracle_score(path: ObservationPath, truth: np.ndarray, pipeline: SelectionPipeline,
-                  lam_mat: np.ndarray) -> list:
+def _oracle_score(path: ObservationPath, truth: np.ndarray, pipeline: SelectionPipeline) -> list:
     """Selected risk, the risk of every grid member, and sigma-hat."""
     result = pipeline.select(path)
-    member_risks = l2_risk_exact(lam_mat * result.theta_star, truth)
+    lam = pipeline.grid.lam
+    member_risks = l2_risk_exact(lam * result.theta_star[: lam.shape[1]], truth)
     return [member_risks[result.index], *member_risks, result.sigma_hat]
 
 
@@ -396,8 +401,7 @@ def oracle_report(
     the empirical stand-in for the rest term of the oracle inequality.
     """
     score = partial(
-        _oracle_score, pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg),
-        lam_mat=grid.matrix(config.J),
+        _oracle_score, pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg)
     )
     setup = _rep_setup((signal,), (spec,), master_seed, n, M)
     (table,) = _score_tables([(setup, score)], reps, workers)
@@ -448,7 +452,7 @@ def _improvement_score(path: ObservationPath, truth: np.ndarray, lam: np.ndarray
 def improvement_report(
     signal: Signal,
     spec: NoiseSpec,
-    weights,
+    weights: np.ndarray,
     shrink_cfg: ShrinkageConfig,
     reps: int,
     master_seed: int,
@@ -465,7 +469,7 @@ def improvement_report(
     """
     if math.sqrt(signal.norm_sq()) > shrink_cfg.r_star:
         raise ValueError("signal norm exceeds r_star; improvement bound hypothesis fails")
-    lam = weights.lam if isinstance(weights, WeightVector) else np.asarray(weights, dtype=np.float64)
+    lam = np.asarray(weights, dtype=np.float64)
     lam = np.pad(lam, (0, max(0, shrink_cfg.d - lam.size)))
     score = partial(_improvement_score, lam=lam, shrink_cfg=shrink_cfg)
     setup = _rep_setup((signal,), (spec,), master_seed, n, M)
@@ -500,19 +504,17 @@ def pinsker_constant(k: int, r: float) -> float:
     ) ** (2.0 * k / (2 * k + 1))
 
 
-def worst_single_frequency(
-    grid: WeightGrid, k: int, r: float, sigma: float, n: int, J: Optional[int] = None
-) -> Signal:
+def worst_single_frequency(grid: WeightGrid, k: int, r: float, sigma: float, n: int) -> Signal:
     """Single-coefficient ball-boundary signal maximizing the best fixed-member
-    risk, computed from the exact white-coefficient risk formula."""
-    if J is None:
-        J = grid.max_support() + 8
+    risk over the grid's width, computed from the exact white-coefficient
+    risk formula."""
+    lam = grid.lam
+    J = lam.shape[1]
     a = ellipsoid_coeffs(J, k)
     theta_sq = 0.95 * r / a
-    lam_mat = grid.matrix(J)
-    penalty_term = sigma * np.sum(lam_mat**2, axis=1) / n  # (nu,)
+    penalty_term = sigma * np.sum(lam**2, axis=1) / n  # (nu,)
     # member risk for budget at j: (1-lam(j))^2 theta_j^2 + sigma |lam|^2 / n
-    risks = (1.0 - lam_mat) ** 2 * theta_sq[None, :] + penalty_term[:, None]
+    risks = (1.0 - lam) ** 2 * theta_sq[None, :] + penalty_term[:, None]
     best_by_j = risks.min(axis=0)
     j_star = int(np.argmax(best_by_j))
     coeffs = np.zeros(J)
@@ -562,8 +564,7 @@ def efficiency_sweep(
             sample_sobolev(spec_ball, max(2, support), derive_rng(master_seed, 900 + i_n, s))
             for s in range(n_signals)
         ]
-        signals.append(worst_single_frequency(pipeline.grid, k, r, family.sigma_star, n,
-                                              J=pipeline.config.J))
+        signals.append(worst_single_frequency(pipeline.grid, k, r, family.sigma_star, n))
         jobs.append((_rep_setup(signals, family.members, master_seed, n, M),
                      partial(_pipeline_risk, pipeline=pipeline)))
 

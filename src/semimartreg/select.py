@@ -6,14 +6,18 @@ after an optional contraction of the leading d coefficients toward zero by
 the data-dependent factor 1 - c_n/|head|.  Standard selection is the case
 shrink_cfg=None: then theta_star = theta_hat and J*_n is the plain J_n,
 exactly as with a contraction budget c_n = 0.
+
+Every member's weights vanish past the grid's width, its support, so the
+grid holds them as one read-only (nu, width) array and the cost reads only
+the first width estimates.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,8 +32,6 @@ __all__ = [
     "minimax_rate_vn",
     "tau_beta",
     "build_weight_grid",
-    "penalty",
-    "cost",
     "cost_all",
     "model_select",
     "ou_min_dimension",
@@ -67,39 +69,27 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class WeightGrid:
-    """Finite family Lambda of weight vectors indexed by alpha = (beta, r)."""
+    """Finite family Lambda of weight vectors indexed by alpha = (beta, r).
+
+    lam stacks the members' weights as one read-only (nu, width) array; each
+    member's lam is a row of it."""
 
     members: tuple
+    lam: np.ndarray
     k_star: int
     epsilon: float
     m: int
     nu: int
     lambda_star_norm: float
-    _matrices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.nu != len(self.members) or self.nu != self.k_star * self.m:
             raise ValueError("grid cardinality is inconsistent")
 
-    def matrix(self, J: int) -> np.ndarray:
-        """Member weights truncated or zero-padded to length J, stacked as a
-        read-only (nu, J) array, built once per J; a member with nonzero
-        weight beyond J is an error."""
-        lam_mat = self._matrices.get(J)
-        if lam_mat is None:
-            lam_mat = np.stack([_aligned(w.lam, J) for w in self.members])
-            lam_mat.flags.writeable = False
-            self._matrices[J] = lam_mat
-        return lam_mat
-
     def max_support(self) -> int:
         """Largest index j with a nonzero weight in any member."""
-        support = 0
-        for w in self.members:
-            nz = np.nonzero(w.lam)[0]
-            if nz.size:
-                support = max(support, int(nz[-1]) + 1)
-        return support
+        nz = np.flatnonzero(self.lam.any(axis=0))
+        return int(nz[-1]) + 1 if nz.size else 0
 
 
 @dataclass(frozen=True)
@@ -108,14 +98,13 @@ class SelectionConfig:
 
     delta: float
     n: int
-    J: int
     sigma_known: Optional[float] = None  # None -> estimate the proxy from data
 
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0 / 3.0):
             raise ValueError("delta must lie in (0, 1/3)")
-        if self.n < 1 or self.J < 1:
-            raise ValueError("n and J must be >= 1")
+        if self.n < 1:
+            raise ValueError("n must be >= 1")
         if self.sigma_known is not None and self.sigma_known < 0:
             raise ValueError("known proxy variance must be >= 0")
 
@@ -185,7 +174,7 @@ def build_weight_grid(
 
     Defaults: eps = 1/ln(n+1), m = [1/eps^2], k* = max(1, [sqrt(ln(n+1))]);
     the k* floor keeps the grid nonempty at small n.  A member's weights
-    vanish from j = omega on, so every weight vector has the grid's length
+    vanish from j = omega on, so every weight vector has the grid's width
     max(1, min(n, ceil(max omega) - 1)), its support.
     """
     if n < 2:
@@ -204,18 +193,20 @@ def build_weight_grid(
 
     # lam_j = 0 from j = omega on: no member has weight past ceil(max omega) - 1
     j = np.arange(1, max(1, min(n, math.ceil(max(omegas)) - 1)) + 1, dtype=np.float64)
-    members = []
-    for (beta, r), omega in zip(alphas, omegas):
-        d = math.floor(omega / log_n1)
-        lam = np.zeros(j.size)
-        lam[j <= d] = 1.0
+    plateaus = [math.floor(omega / log_n1) for omega in omegas]
+    lam = np.zeros((len(alphas), j.size))
+    for row, (beta, _), omega, d in zip(lam, alphas, omegas, plateaus):
+        row[j <= d] = 1.0
         mid = (j > d) & (j <= omega)
-        lam[mid] = 1.0 - (j[mid] / omega) ** beta
-        members.append(WeightVector(lam=lam, alpha=(beta, r), omega=omega, d=d))
+        row[mid] = 1.0 - (j[mid] / omega) ** beta
+    lam.flags.writeable = False
+    members = [WeightVector(lam=row, alpha=alpha, omega=omega, d=d)
+               for row, alpha, omega, d in zip(lam, alphas, omegas, plateaus)]
 
     lam_star = 1.0 + max(w.weight_sum() for w in members)
     return WeightGrid(
         members=tuple(members),
+        lam=lam,
         k_star=ks,
         epsilon=eps,
         m=m,
@@ -224,65 +215,31 @@ def build_weight_grid(
     )
 
 
-def _lam_of(weights: Union[WeightVector, np.ndarray, Sequence[float]]) -> np.ndarray:
-    if isinstance(weights, WeightVector):
-        return weights.lam
-    return np.asarray(weights, dtype=np.float64)
-
-
-def _aligned(lam: np.ndarray, J: int) -> np.ndarray:
-    """Truncate or zero-pad lam to length J; nonzero truncated mass is an error."""
-    if lam.size == J:
-        return lam
-    if lam.size > J:
-        if np.any(lam[J:] != 0.0):
-            raise ValueError(
-                "weights have support beyond the available coefficient estimates"
-            )
-        return lam[:J]
-    return np.concatenate([lam, np.zeros(J - lam.size)])
-
-
-def penalty(weights, sigma_hat: float, n: int) -> float:
-    """P_n(lambda) = sigma_hat * |lambda|^2 / n."""
-    if sigma_hat < 0:
-        raise ValueError("sigma_hat must be >= 0")
-    lam = _lam_of(weights)
-    return float(sigma_hat * np.sum(lam**2) / n)
-
-
-def _cost_rows(lam_mat, theta_hat, sigma_hat, delta, n, theta_star) -> np.ndarray:
-    theta_hat = np.asarray(theta_hat, dtype=np.float64)
-    theta_star = theta_hat if theta_star is None else np.asarray(theta_star, dtype=np.float64)
-    lam_sq = lam_mat**2
-    theta_bar = theta_star * theta_hat - sigma_hat / n
-    return (
-        lam_sq @ (theta_star**2)
-        - 2.0 * (lam_mat @ theta_bar)
-        + delta * sigma_hat * lam_sq.sum(axis=1) / n
-    )
-
-
-def cost(
-    weights, theta_hat: np.ndarray, sigma_hat: float, delta: float, n: int,
-    theta_star: Optional[np.ndarray] = None,
-) -> float:
-    """J*_n(lambda) = |lambda theta_star|^2 - 2 sum lambda (theta_star theta_hat
-    - sigma_hat/n) + delta P_n(lambda).
-
-    theta_star defaults to theta_hat, which gives the standard J_n.
-    """
-    lam = _aligned(_lam_of(weights), np.asarray(theta_hat).size)
-    return float(_cost_rows(lam[None, :], theta_hat, sigma_hat, delta, n, theta_star)[0])
-
-
 def cost_all(
     grid: WeightGrid, theta_hat: np.ndarray, sigma_hat: float, delta: float, n: int,
     theta_star: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """`cost` over every grid member at once."""
-    lam_mat = grid.matrix(np.asarray(theta_hat).size)
-    return _cost_rows(lam_mat, theta_hat, sigma_hat, delta, n, theta_star)
+    """J*_n(lambda) = |lambda theta_star|^2 - 2 sum lambda (theta_star theta_hat
+    - sigma_hat/n) + delta sigma_hat |lambda|^2 / n of every grid member.
+
+    theta_star defaults to theta_hat, which gives the standard J_n.  Only
+    the first width estimates enter, since every weight past the grid's
+    width is zero; fewer estimates than that are an error.
+    """
+    lam = grid.lam
+    width = lam.shape[1]
+    theta_hat = np.asarray(theta_hat, dtype=np.float64)
+    if theta_hat.size < width:
+        raise ValueError("weights have support beyond the available coefficient estimates")
+    theta_star = theta_hat if theta_star is None else np.asarray(theta_star, dtype=np.float64)
+    theta_hat, theta_star = theta_hat[:width], theta_star[:width]
+    lam_sq = lam**2
+    theta_bar = theta_star * theta_hat - sigma_hat / n
+    return (
+        lam_sq @ (theta_star**2)
+        - 2.0 * (lam @ theta_bar)
+        + delta * sigma_hat * lam_sq.sum(axis=1) / n
+    )
 
 
 def model_select(
@@ -293,7 +250,8 @@ def model_select(
     shrink_cfg: Optional[ShrinkageConfig] = None,
 ) -> SelectionResult:
     """Shrink the head if shrink_cfg is given, pick the first J*_n minimizer
-    in grid order and assemble the estimate from the (shrunk) estimates."""
+    in grid order and assemble the estimate from the (shrunk) estimates; the
+    estimate has as many coefficients as theta_hat, zero past the width."""
     if not grid.members:
         raise ValueError("weight grid is empty")
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
@@ -303,9 +261,11 @@ def model_select(
     costs = cost_all(grid, theta_hat, sigma_hat, config.delta, config.n, theta_star)
     idx = int(np.argmin(costs))
     w = grid.members[idx]
+    coeffs = np.zeros(theta_star.size)
+    coeffs[: w.lam.size] = w.lam * theta_star[: w.lam.size]
     return SelectionResult(
         weights=w,
-        signal=Signal(_aligned(w.lam, theta_star.size) * theta_star),
+        signal=Signal(coeffs),
         index=idx,
         cost=float(costs[idx]),
         sigma_hat=float(sigma_hat),

@@ -131,7 +131,7 @@ def test_criterion_4_oracle_inequality():
     rows = []
     for n in (100, 200, 400):
         grid = build_grid_for(n, sigma_star)
-        cfg = SelectionConfig(delta=delta, n=n, J=max(grid.max_support(), 16))
+        cfg = SelectionConfig(delta=delta, n=n)
         rep = oracle_report(sig, spec, grid, cfg, reps, 2024, n=n, M=max(256, 2 * n))
         rows.append(rep)
     holds = all(r.oracle_holds for r in rows)
@@ -166,7 +166,8 @@ def _paired_selection(signal, spec, n, M, grid, cfg, shrink_cfg, reps, seed):
     """Risks of improved and standard selection on common replication paths."""
     det = n * signal_increments(signal, 1, M)
     theta_true = signal.coeffs
-    J = cfg.J
+    # the estimates the selector reads: the grid's width and the shrunk head
+    J = max(grid.lam.shape[1], shrink_cfg.d)
     tp = np.zeros(J)
     tp[: min(J, theta_true.size)] = theta_true[: min(J, theta_true.size)]
     tail = float(np.sum(theta_true[J:] ** 2)) if theta_true.size > J else 0.0
@@ -193,13 +194,13 @@ def test_criterion_6_improved_vs_standard():
 
     levy = LevySpec(1.0, 0.0)
     shr_levy = make_shrinkage_config("levy", grid, n, 1.0, rho_lower=1.0, d=10)
-    cfg_levy = SelectionConfig(delta=0.05, n=n, J=max(grid.max_support(), 10))
+    cfg_levy = SelectionConfig(delta=0.05, n=n)
     scenarios.append(("levy/concentrated", levy, cfg_levy, shr_levy, concentrated, 21))
     scenarios.append(("levy/zero", levy, cfg_levy, shr_levy, zero, 21))
 
     ou = OuSpec(a=-0.6, a_max=1.0, driving=LevySpec(1.0, 0.5))
     shr_ou = make_shrinkage_config("ou", grid, n, 1.0, rho_lower=1.0, a_max=1.0, d=58)
-    cfg_ou = SelectionConfig(delta=0.05, n=n, J=58)
+    cfg_ou = SelectionConfig(delta=0.05, n=n)
     scenarios.append(("ou/concentrated", ou, cfg_ou, shr_ou, concentrated, 22))
     scenarios.append(("ou/zero", ou, cfg_ou, shr_ou, zero, 22))
 
@@ -257,7 +258,7 @@ def test_criterion_8_bruteforce_equivalence():
         th = rng.normal(size=J) * 0.4
         sigma = float(rng.uniform(0.2, 1.5))
         delta = float(rng.uniform(0.02, 0.3))
-        cfg = SelectionConfig(delta=delta, n=n, J=J)
+        cfg = SelectionConfig(delta=delta, n=n)
         std = model_select(th, grid, cfg, sigma)
         brute = [jn(w.lam, th, sigma, delta, n) for w in grid.members]
         if std.index != int(np.argmin(brute)):

@@ -6,7 +6,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from semimartreg import cli
@@ -172,6 +174,23 @@ class TestImproveCheck:
         assert rep["improvement_bound"] < 0
         assert rep["delta_hat"] < 0
 
+    def test_spec_without_brownian_part_keeps_a_tiny_budget(self, tmp_path):
+        # a single spec with rho1 = 0 takes rho_lower = 1e-6: l* = (d-1) 1e-6
+        n, d = 100, 4
+        cfg = write_config(tmp_path, "jumps_only.json", {
+            "signal": {"coeffs": [0.5, 0.3, 0.2]},
+            "noise": {"family": "levy", "rho1": 0, "rho2": 1},
+            "n": n, "M": 64, "reps": 4, "seed": 8,
+            "estimator": "improved",
+            "shrinkage": {"d": d},
+        })
+        out = tmp_path / "out"
+        assert run(["improve-check", "--config", cfg, "--out-dir", str(out),
+                    "--workers", "1"]) == EXIT_OK
+        rep = json.loads((out / "improve_check_record.json").read_text())["report"]
+        c_n = (d - 1) * 1e-6 / ((math.log(n + 1) + math.sqrt(d / n)) * n)
+        assert rep["improvement_bound"] == pytest.approx(-c_n**2, rel=1e-12)
+
 
 class TestEfficiencySweep:
     def test_three_rows_finite_ratio(self, tmp_path):
@@ -323,11 +342,14 @@ class TestProxyCeiling:
     so it needs 2*(n//2) < M; n = 100 on M = 64 breaks that."""
 
     def config(self, tmp_path, **extra):
-        return write_config(tmp_path, "proxy.json", {
+        """The config with extra fields; a field set to None is left out."""
+        payload = {
             "signal": {"coeffs": [0.5, 0.3, 0.2]},
             "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.0},
             "n": 100, "M": 64, "J": 10, "reps": 4, "seed": 8, **extra,
-        })
+        }
+        return write_config(tmp_path, "proxy.json",
+                            {k: v for k, v in payload.items() if v is not None})
 
     @staticmethod
     def forbid_replicates(monkeypatch):
@@ -353,6 +375,25 @@ class TestProxyCeiling:
         assert run(["oracle-check", "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_OK
 
+    def test_known_sigma_without_J_reads_the_grid_width(self, tmp_path):
+        # the selection reads max(width, d) estimates, not J = n
+        cfg = self.config(tmp_path, J=None, sigma_source={"known": 1.0})
+        assert run(["oracle-check", "--config", cfg, "--workers", "1",
+                    "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+
+    def test_known_sigma_selection_memory_does_not_grow_with_n(self, tmp_path):
+        # a (nu, n) weight array would take over 100 MB at n = 40000
+        cfg = self.config(tmp_path, J=None, n=40000, M=40002, reps=2,
+                          sigma_source={"known": 1.0})
+        tracemalloc.start()
+        try:
+            assert run(["oracle-check", "--config", cfg, "--workers", "1",
+                        "--out-dir", str(tmp_path / "o")]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
     @staticmethod
     def improve_config(tmp_path, d):
         return write_config(tmp_path, "improve.json", {
@@ -377,6 +418,20 @@ class TestProxyCeiling:
         assert run(["improve-check", "--config", cfg, "--workers", "1",
                     "--out-dir", str(tmp_path / "o")]) == EXIT_CONFIG
         assert "config field 'M'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("improved", [False, True])
+def test_selection_parts_do_not_read_J(improved):
+    base = {
+        "signal": {"coeffs": [0.5, 0.3, 0.2]},
+        "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.5},
+        "n": 100, "M": 256,
+    }
+    plain = cli._selection_parts(cli.validate_config(base, "hash"), improved)
+    with_J = cli._selection_parts(cli.validate_config({**base, "J": 16}, "hash"), improved)
+    assert (plain.config, plain.shrink_cfg, plain.J) == (with_J.config, with_J.shrink_cfg,
+                                                         with_J.J)
+    np.testing.assert_array_equal(plain.grid.lam, with_J.grid.lam)
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")

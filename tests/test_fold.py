@@ -56,7 +56,7 @@ def folded_sums(spec, seed, fold):
     """(REPS, M) per-period sums from the folded sampler, or from the fold
     of the full path."""
     return np.array([
-        simulate(spec, N, M, derive_rng(seed, rep), fold=fold).fold().increments
+        simulate(spec, N, M, derive_rng(seed, rep), fold=fold).increments.reshape(-1, M).sum(0)
         for rep in range(REPS)
     ])
 

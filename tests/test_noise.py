@@ -295,8 +295,8 @@ class TestCachedConstants:
         spec = ONE_OF_EACH[1]
         n, M = 12, 64
         for fold in (True, False):
-            path = simulate(spec, n, M, derive_rng(13, 0), fold=fold).fold()
-        estimate_fourier(ObservationPath(path.increments, n, M), 20)
+            sums = simulate(spec, n, M, derive_rng(13, 0), fold=fold).increments.reshape(-1, M)
+        estimate_fourier(ObservationPath(sums.sum(axis=0), n, M), 20)
         a = spec.a
         arrays = {
             "g": (_ou_weights(a, n, M)[0], _ou_weights.__wrapped__(a, n, M)[0]),

@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cost_reference import cost
+
 from semimartreg.noise import (
     JUMP_DISTS,
     Y_DISTS,
@@ -24,7 +26,6 @@ from semimartreg.select import (
     SelectionConfig,
     ShrinkageConfig,
     build_weight_grid,
-    cost,
     model_select,
     shrink,
 )
@@ -157,7 +158,7 @@ def selections(draw):
     grid = build_weight_grid(n, draw(st.floats(0.1, 3.0)), k_star=draw(st.integers(1, 3)),
                              epsilon=draw(st.floats(0.15, 1.0)))
     J = draw(st.integers(max(1, grid.max_support()), 60))
-    config = SelectionConfig(delta=draw(st.floats(1e-3, 0.33)), n=n, J=J)
+    config = SelectionConfig(delta=draw(st.floats(1e-3, 0.33)), n=n)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     theta = draw(st.sampled_from([1e-3, 0.1, 1.0])) * rng.standard_normal(J)
     return grid, config, theta, draw(st.floats(0.0, 3.0))
@@ -175,19 +176,19 @@ class TestSelection:
     @given(sel=selections(), data=st.data())
     def test_argmin_equals_bruteforce(self, sel, data):
         grid, config, theta, sigma = sel
-        shrink_cfg = data.draw(st.none() | shrinkages(config.J), label="shrink_cfg")
+        shrink_cfg = data.draw(st.none() | shrinkages(theta.size), label="shrink_cfg")
         res = model_select(theta, grid, config, sigma, shrink_cfg)
         theta_star = theta if shrink_cfg is None else shrink(theta, shrink_cfg)[0]
         brute = [cost(w, theta, sigma, config.delta, config.n, theta_star=theta_star)
                  for w in grid.members]
-        # one cost per member, row by row; the selector's one matrix
-        # product may round the last bits apart, so near ties are equal
+        # one plain-sum cost per member; the selector's one matrix product
+        # may round the last bits apart, so near ties are equal
         scale = 1e-12 * (1.0 + float(np.sum(theta_star**2)) + sigma)
         assert brute[res.index] <= min(brute) + scale
         assert res.cost == pytest.approx(brute[res.index], rel=1e-9, abs=scale)
         lam = grid.members[res.index].lam
         np.testing.assert_array_equal(res.signal.coeffs,
-                                      np.pad(lam, (0, config.J - lam.size)) * theta_star)
+                                      np.pad(lam, (0, theta.size - lam.size)) * theta_star)
 
 
 class TestShrink:

@@ -185,18 +185,11 @@ class TestOracleReport:
         spec = LevySpec(0.5, 0.5)
         grid = build_grid_for(100, 0.5)
         sig = Signal(np.array([0.5, 0.3, -0.2, 0.1]))
-        cfg = SelectionConfig(delta=0.05, n=100, J=grid.max_support())
+        cfg = SelectionConfig(delta=0.05, n=100)
         report = oracle_report(sig, spec, grid, cfg, 150, 13, n=100, M=256)
         assert report.oracle_lhs >= min(report.member_risks) - 3 * report.std_error
         assert report.oracle_holds
         assert report.oracle_factor == pytest.approx(1.15 / 0.85)
-
-    def test_config_J_below_grid_support_rejected(self):
-        grid = build_grid_for(50, 1.0)
-        cfg = SelectionConfig(delta=0.05, n=50, J=grid.max_support() - 1, sigma_known=1.0)
-        with pytest.raises(ValueError, match="support beyond"):
-            oracle_report(Signal(np.array([0.4])), LevySpec(1.0, 0.0), grid, cfg, 4, 1,
-                          n=50, M=64)
 
     def test_singleton_grid_reduces_to_member(self):
         from semimartreg.select import build_weight_grid
@@ -204,7 +197,7 @@ class TestOracleReport:
         spec = LevySpec(1.0, 0.0)
         grid = build_weight_grid(50, 1.0, k_star=1, epsilon=1.0)
         sig = Signal(np.array([0.4, 0.2]))
-        cfg = SelectionConfig(delta=0.05, n=50, J=8, sigma_known=1.0)
+        cfg = SelectionConfig(delta=0.05, n=50, sigma_known=1.0)
         report = oracle_report(sig, spec, grid, cfg, 100, 15, n=50, M=64)
         assert report.oracle_lhs == pytest.approx(report.member_risks[0], rel=1e-12)
 
@@ -217,12 +210,12 @@ class TestOracleReport:
         spec = LevySpec(0.7, 0.5)
         n, M = 60, 64
         grid = build_grid_for(n, 0.74)
-        cfg = SelectionConfig(delta=0.05, n=n, J=grid.max_support())
+        cfg = SelectionConfig(delta=0.05, n=n)
         shrink_cfg = make_shrinkage_config("levy", grid, n, 0.74, rho_lower=0.49, d=4)
         sig = Signal(np.array([0.4, 0.2]))
         noise = simulate(spec, n, M, derive_rng(77, 0))
         path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
-        theta = estimate_fourier(path, cfg.J).theta_hat
+        theta = estimate_fourier(path, grid.max_support()).theta_hat
         sigma = estimate_variance_proxy(path)
 
         plain = SelectionPipeline(grid=grid, config=cfg)
@@ -239,14 +232,15 @@ class TestOracleReport:
         spec = LevySpec(0.5, 0.5)
         grid = build_grid_for(60, 0.5)
         sig = Signal(np.array([0.3, 0.2]))
-        cfg = SelectionConfig(delta=0.05, n=60, J=grid.max_support())
+        cfg = SelectionConfig(delta=0.05, n=60)
         a = oracle_report(sig, spec, grid, cfg, 40, 3, n=60, M=64)
         b = oracle_report(sig, spec, grid, cfg, 40, 3, n=60, M=64)
         assert a == b
 
     def test_oracle_score_member_risks_per_member(self):
         # every member risk of a replicate's score equals l2_risk_exact of
-        # that member's estimate, byte for byte; the truth is longer than J
+        # that member's estimate, byte for byte; the truth is longer than
+        # the grid's width
         from semimartreg.noise import derive_rng, simulate
         from semimartreg.observe import ObservationPath, signal_increments
         from semimartreg.risk import _oracle_score
@@ -254,18 +248,18 @@ class TestOracleReport:
         n, M = 60, 64
         grid = build_grid_for(n, 0.74)
         J = grid.max_support()
-        cfg = SelectionConfig(delta=0.05, n=n, J=J)
+        cfg = SelectionConfig(delta=0.05, n=n)
         shrink_cfg = make_shrinkage_config("levy", grid, n, 0.74, rho_lower=0.49, d=4)
         pipeline = SelectionPipeline(grid=grid, config=cfg, shrink_cfg=shrink_cfg)
+        assert pipeline.J == J
         truth = np.random.default_rng(5).normal(size=J + 6) / 10
         sig = Signal(truth)
-        lam_mat = grid.matrix(J)
         for rep in range(5):
             noise = simulate(LevySpec(0.7, 0.5), n, M, derive_rng(78, rep))
             path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
-            row = _oracle_score(path, truth, pipeline, lam_mat)
+            row = _oracle_score(path, truth, pipeline)
             theta_star = pipeline.select(path).theta_star
-            expected = [l2_risk_exact(lam * theta_star, truth) for lam in lam_mat]
+            expected = [l2_risk_exact(w.lam * theta_star, truth) for w in grid.members]
             assert np.array(row[1:-1]).tobytes() == np.array(expected).tobytes()
 
     def test_member_risks_match_bruteforce(self):
@@ -279,7 +273,7 @@ class TestOracleReport:
         grid = build_grid_for(n, 0.5)
         J = grid.max_support()
         sig = Signal(np.array([0.5, 0.3, -0.2, 0.1]))
-        cfg = SelectionConfig(delta=0.05, n=n, J=J, sigma_known=0.5)
+        cfg = SelectionConfig(delta=0.05, n=n, sigma_known=0.5)
         rep_report = oracle_report(sig, spec, grid, cfg, reps, seed, n=n, M=M)
 
         det = n * signal_increments(sig, 1, M)

@@ -1,23 +1,21 @@
 """Weight grid, cost, selection and shrinkage tests."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from cost_reference import cost, penalty
 from semimartreg.select import (
     SelectionConfig,
     ShrinkageConfig,
     WeightVector,
     build_weight_grid,
-    cost,
     l_star,
     make_shrinkage_config,
     minimax_rate_vn,
     model_select,
     ou_min_dimension,
-    penalty,
     shrink,
     tau_beta,
 )
@@ -95,40 +93,17 @@ class TestWeightGrid:
         grid = build_weight_grid(n, sigma_star)
         support = grid.max_support()
         assert (support == 0) == (n == 2)
-        for w in grid.members:
+        assert grid.lam.shape == (grid.nu, max(1, support))
+        for w, row in zip(grid.members, grid.lam):
             full = self.length_n_member(n, sigma_star, *w.alpha)
             assert not full[support:].any()
             np.testing.assert_array_equal(w.lam, full[: max(1, support)])
-
-    def test_matrix_pads_and_truncates(self):
-        grid = build_weight_grid(60, 1.0)
-        support = grid.max_support()
-        assert 1 < support < 60
-        full = np.stack([w.lam for w in grid.members])
-        assert full.shape == (grid.nu, support)
-        np.testing.assert_array_equal(grid.matrix(support), full)
-        padded = grid.matrix(60)
-        assert padded.shape == (grid.nu, 60)
-        np.testing.assert_array_equal(padded[:, :support], full)
-        assert not padded[:, support:].any()
-        with pytest.raises(ValueError, match="support beyond"):
-            grid.matrix(support - 1)
-        # members longer than their support lose only their zero tail
-        long = replace(grid, members=tuple(replace(w, lam=np.pad(w.lam, (0, 60 - support)))
-                                           for w in grid.members))
-        np.testing.assert_array_equal(long.matrix(support), full)
-        with pytest.raises(ValueError, match="support beyond"):
-            long.matrix(support - 1)
-
-    def test_matrix_built_once_and_read_only(self):
-        grid = build_weight_grid(60, 1.0)
-        for J in (grid.max_support(), 60, 70):
-            lam_mat = grid.matrix(J)
-            assert grid.matrix(J) is lam_mat
-            fresh = np.stack([np.pad(w.lam, (0, J - w.lam.size)) for w in grid.members])
-            np.testing.assert_array_equal(lam_mat, fresh)
+            # the member's weights are its row of the grid's one array
+            assert w.lam.base is grid.lam
+            np.testing.assert_array_equal(w.lam, row)
+        for lam in (grid.lam, grid.members[0].lam):
             with pytest.raises(ValueError, match="read-only"):
-                lam_mat[0, 0] = 0.5
+                lam[0, ...] = 0.5
 
     def test_weight_vector_validation(self):
         with pytest.raises(ValueError):
@@ -178,23 +153,27 @@ class TestPenaltyAndCost:
             assert cost(lam, th, sigma, delta, n, theta_star=ts) == pytest.approx(brute, rel=1e-12)
 
     def test_support_beyond_estimates_rejected(self):
-        lam = np.array([1.0, 0.5, 0.5])
-        with pytest.raises(ValueError):
-            cost(lam, np.array([1.0, 2.0]), 1.0, 0.1, 10)
+        grid = build_weight_grid(60, 1.0)
+        support = grid.max_support()
+        assert support > 1
+        with pytest.raises(ValueError, match="support beyond"):
+            model_select(np.ones(support - 1), grid, SelectionConfig(delta=0.1, n=60), 1.0)
+        with pytest.raises(ValueError, match="support beyond"):
+            cost(np.array([1.0, 0.5, 0.5]), np.array([1.0, 2.0]), 1.0, 0.1, 10)
 
 
 class TestModelSelect:
     def test_singleton_grid(self):
         grid = build_weight_grid(20, 1.0, k_star=1, epsilon=1.0)
         assert grid.nu == 1
-        cfg = SelectionConfig(delta=0.05, n=20, J=8)
+        cfg = SelectionConfig(delta=0.05, n=20)
         res = model_select(np.ones(8), grid, cfg, 0.5)
         assert res.index == 0
 
     def test_argmin_matches_bruteforce(self):
         rng = np.random.default_rng(21)
         grid = build_weight_grid(80, 1.0)
-        cfg = SelectionConfig(delta=0.1, n=80, J=20)
+        cfg = SelectionConfig(delta=0.1, n=80)
         for _ in range(10):
             th = rng.normal(size=20) * 0.5
             sigma = rng.uniform(0.2, 1.5)
@@ -209,23 +188,24 @@ class TestModelSelect:
         theta = np.zeros(30)
         theta[:5] = rng.normal(size=5)
         grid = build_weight_grid(100, 1.0)
-        cfg = SelectionConfig(delta=1e-9, n=100, J=30)
+        cfg = SelectionConfig(delta=1e-9, n=100)
         res = model_select(theta, grid, cfg, 0.0)
-        errs = [float(np.sum((lam * theta - theta) ** 2)) for lam in grid.matrix(30)]
+        errs = [float(np.sum((np.pad(w.lam, (0, 30 - w.lam.size)) * theta - theta) ** 2))
+                for w in grid.members]
         sel_err = float(np.sum((res.signal.coeffs - theta) ** 2))
         assert sel_err <= min(errs) + 1e-12
 
     def test_argmin_invariant_to_constant_shift(self):
         rng = np.random.default_rng(23)
         grid = build_weight_grid(60, 1.0)
-        cfg = SelectionConfig(delta=0.05, n=60, J=15)
+        cfg = SelectionConfig(delta=0.05, n=60)
         th = rng.normal(size=15)
         base = np.array([cost(w, th, 0.7, cfg.delta, cfg.n) for w in grid.members])
         assert int(np.argmin(base)) == int(np.argmin(base + 123.456))
 
     def test_first_minimizer_tie_break(self):
         grid = build_weight_grid(20, 1.0, k_star=2, epsilon=1.0)
-        cfg = SelectionConfig(delta=0.05, n=20, J=8)
+        cfg = SelectionConfig(delta=0.05, n=20)
         res = model_select(np.zeros(8), grid, cfg, 0.0)
         costs = [cost(w, np.zeros(8), 0.0, cfg.delta, cfg.n) for w in grid.members]
         ties = [i for i, c in enumerate(costs) if c == min(costs)]
@@ -304,7 +284,7 @@ class TestImprovedSelect:
     def test_zero_budget_equals_standard(self):
         rng = np.random.default_rng(41)
         grid = build_weight_grid(50, 1.0)
-        cfg = SelectionConfig(delta=0.05, n=50, J=12)
+        cfg = SelectionConfig(delta=0.05, n=50)
         shrink_cfg = ShrinkageConfig(d=4, l_star=0.0, r_star=2.0, v_n=50.0, n=50)
         th = rng.normal(size=12)
         a = model_select(th, grid, cfg, 0.8)
@@ -315,7 +295,7 @@ class TestImprovedSelect:
     def test_argmin_matches_bruteforce(self):
         rng = np.random.default_rng(42)
         grid = build_weight_grid(80, 1.0)
-        cfg = SelectionConfig(delta=0.1, n=80, J=20)
+        cfg = SelectionConfig(delta=0.1, n=80)
         shrink_cfg = ShrinkageConfig(d=6, l_star=3.0, r_star=4.0, v_n=80.0, n=80)
         for _ in range(10):
             th = rng.normal(size=20)
@@ -327,7 +307,7 @@ class TestImprovedSelect:
 
     def test_degenerate_head_falls_back(self):
         grid = build_weight_grid(50, 1.0)
-        cfg = SelectionConfig(delta=0.05, n=50, J=12)
+        cfg = SelectionConfig(delta=0.05, n=50)
         shrink_cfg = ShrinkageConfig(d=4, l_star=1.0, r_star=2.0, v_n=50.0, n=50)
         th = np.concatenate([np.zeros(4), np.array([1.0, 0.5]), np.zeros(6)])
         a = model_select(th, grid, cfg, 0.3)
@@ -366,6 +346,6 @@ class TestMakeShrinkageConfig:
 
     def test_selection_config_delta_range(self):
         with pytest.raises(ValueError):
-            SelectionConfig(delta=0.34, n=10, J=5)
+            SelectionConfig(delta=0.34, n=10)
         with pytest.raises(ValueError):
-            SelectionConfig(delta=0.0, n=10, J=5)
+            SelectionConfig(delta=0.0, n=10)
