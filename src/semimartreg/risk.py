@@ -16,11 +16,11 @@ paired shrunk - plain difference and the head-norm identity error
 (improvement report).  A selection reads the grid's width of estimates, or
 the shrunk head when that is longer, and an estimated proxy reads n.
 Members share the replication streams (common random numbers), so the
-columns of a table are paired.  A report is one map
-over replicate indices, which fills every table of the report (one per
-horizon of the efficiency sweep) and so starts at most one process pool; its
-function reaches each pool worker once, when the worker starts, and
-`_mean_se` reduces every column of a table alike.
+columns of a table are paired.  A report is one map over replicate indices,
+which fills every table of the report (one per horizon of the efficiency
+sweep) and so starts at most one process pool; its function reaches each
+pool worker once, when the worker starts, and `_mean_se` reduces every
+column of a table alike.
 """
 
 from __future__ import annotations

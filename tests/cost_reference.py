@@ -19,8 +19,8 @@ def penalty(weights, sigma_hat, n):
 def cost(weights, theta_hat, sigma_hat, delta, n, theta_star=None):
     """J*_n(lambda) = sum lambda^2 theta*^2 - 2 sum lambda (theta* theta_hat
     - sigma_hat/n) + delta P_n(lambda), with theta* = theta_hat by default
-    (the standard J_n).  lambda and the estimates must have the same length
-    once lambda's zero tail is dropped or zeros are appended to it."""
+    (the standard J_n).  A lambda shorter than the estimates reads as
+    zero-padded; one longer must be zero past them."""
     lam = np.asarray(getattr(weights, "lam", weights), dtype=np.float64)
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     ts = theta_hat if theta_star is None else np.asarray(theta_star, dtype=np.float64)
