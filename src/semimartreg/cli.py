@@ -282,6 +282,7 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
 
     # J, read by simulate alone, defaults to n, which simulate checks
     # against M itself (see _check_ceiling)
+    _check_ceiling(signal.basis_size, M, "signal")
     if "J" in data:
         _check_ceiling(J, M, "J")
     if estimator == "projection":
@@ -307,11 +308,12 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
 
 
 def _check_ceiling(J: int, M: int, field: str) -> None:
-    """Reject estimating J coefficients where they alias on M midpoints.
+    """Reject J coefficients where they alias on M midpoints.
 
-    validate_config checks the J and m the config gives; a command checks
-    the count it reads (simulate's J, the selection's estimates, the shrunk
-    head d) before any replicate and names field M, the one that must grow."""
+    validate_config checks the signal's basis size and the J and m the
+    config gives; a command checks the count it reads (simulate's J, the
+    selection's estimates, the shrunk head d) before any replicate and names
+    field M, the one that must grow."""
     if aliased(J, M):
         raise _fail(field, f"estimating J={J} coefficients needs 2*(J//2) < M, got M={M}")
 
@@ -380,14 +382,18 @@ def _robustness_bounds(cfg: ExperimentConfig):
 
 
 def _selection_parts(cfg: ExperimentConfig, improved: bool) -> SelectionPipeline:
-    """The selector of cfg, shrinking the head when improved."""
+    """The selector of cfg, shrinking the head when improved by the
+    contraction bound that covers every member of the family, or the one
+    configured spec."""
     sigma_star, rho_lower, a_max = _robustness_bounds(cfg)
     if not sigma_star > 0:
         raise ConfigError("config field 'noise': nominal proxy variance must be > 0 "
                           "for selection experiments")
+    members = None
+    if improved:
+        members = cfg.family.members if cfg.family is not None else (cfg.noise,)
     return SelectionPipeline.build(
-        cfg.n, sigma_star, cfg.delta, sigma_known=cfg.sigma_known,
-        noise_kind=cfg.primary_noise().family if improved else None,
+        cfg.n, sigma_star, cfg.delta, sigma_known=cfg.sigma_known, members=members,
         rho_lower=rho_lower, a_max=a_max, **cfg.shrinkage_overrides,
     )
 
@@ -456,9 +462,8 @@ def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> di
 def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
     pipeline = _selection_parts(cfg, improved=cfg.estimator == "improved")
     _check_ceiling(pipeline.estimates_read, cfg.M, "M")
-    report = oracle_report(cfg.signal, cfg.primary_noise(), pipeline.grid, pipeline.config,
-                           cfg.reps, cfg.seed, n=cfg.n, M=cfg.M,
-                           shrink_cfg=pipeline.shrink_cfg, workers=workers)
+    report = oracle_report(cfg.signal, cfg.primary_noise(), pipeline, cfg.reps, cfg.seed,
+                           n=cfg.n, M=cfg.M, workers=workers)
     record = {**_provenance(cfg, "oracle-check"), "report": report.to_dict()}
     rows = [[i, r, s, cfg.config_hash[:16]]
             for i, (r, s) in enumerate(zip(report.member_risks, report.member_std_errors))]
@@ -470,9 +475,8 @@ def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int
 def cmd_improve_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
     shrink_cfg = _selection_parts(cfg, improved=True).shrink_cfg
     _check_ceiling(shrink_cfg.d, cfg.M, "M")
-    lam = np.ones(shrink_cfg.d)
-    report = improvement_report(cfg.signal, cfg.primary_noise(), lam, shrink_cfg,
-                                cfg.reps, cfg.seed, n=cfg.n, M=cfg.M, workers=workers)
+    report = improvement_report(cfg.signal, cfg.primary_noise(), shrink_cfg, cfg.reps, cfg.seed,
+                                n=cfg.n, M=cfg.M, workers=workers)
     record = {**_provenance(cfg, "improve-check"), "report": report.to_dict()}
     rows = [[cfg.n, report.delta_hat, report.delta_se, report.improvement_bound,
              cfg.config_hash[:16]]]
@@ -549,12 +553,6 @@ def main(argv=None) -> int:
             if args.seed < 0:
                 raise ConfigError("--seed must be >= 0")
             cfg.seed = args.seed
-        env_seed = os.environ.get("SEMIMART_SEED")
-        if env_seed is not None:
-            try:
-                cfg.seed = int(env_seed)
-            except ValueError as exc:
-                raise ConfigError(f"SEMIMART_SEED must be an integer, got {env_seed!r}") from exc
         os.makedirs(args.out_dir, exist_ok=True)
         record = HANDLERS[args.command](cfg, args.out_dir, args.format, max(1, args.workers))
         record_path = os.path.join(args.out_dir, f"{args.command.replace('-', '_')}_record.json")

@@ -145,7 +145,7 @@ class ProjectionPipeline:
         return estimate_fourier(path, self.m).theta_hat
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionPipeline:
     """Full data-driven selection, with the shrunk head when shrink_cfg is set."""
 
@@ -155,16 +155,16 @@ class SelectionPipeline:
 
     @classmethod
     def build(cls, n: int, sigma_star: float, delta: float, *,
-              sigma_known: Optional[float] = None, noise_kind: Optional[str] = None,
+              sigma_known: Optional[float] = None, members: Optional[Sequence[NoiseSpec]] = None,
               rho_lower: Optional[float] = None, a_max: Optional[float] = None, d: Optional[int] = None,
               r_star: Optional[float] = None, l_star: Optional[float] = None):
         """The selector at horizon n: the grid for sigma_star, and the
-        shrinkage of noise_kind when one is given (d, r_star and l_star
-        override its defaults)."""
+        shrinkage that covers the noise specs in members when they are given
+        (d, r_star and l_star override its defaults)."""
         grid = build_grid_for(n, sigma_star)
         shrink_cfg = None
-        if noise_kind is not None:
-            shrink_cfg = make_shrinkage_config(noise_kind, grid, n, sigma_star, rho_lower,
+        if members is not None:
+            shrink_cfg = make_shrinkage_config(members, grid, n, sigma_star, rho_lower,
                                                a_max=a_max, d=d, r_star=r_star,
                                                l_star_override=l_star)
         return cls(grid, SelectionConfig(delta=delta, n=n, sigma_known=sigma_known), shrink_cfg)
@@ -384,25 +384,22 @@ def _oracle_score(path: ObservationPath, truth: np.ndarray, pipeline: SelectionP
 def oracle_report(
     signal: Signal,
     spec: NoiseSpec,
-    grid: WeightGrid,
-    config: SelectionConfig,
+    pipeline: SelectionPipeline,
     reps: int,
     master_seed: int,
     *,
     n: int,
     M: int,
-    shrink_cfg: Optional[ShrinkageConfig] = None,
     workers: int = 1,
 ) -> RiskReport:
-    """Selected-estimator risk against the best fixed grid member.
+    """Selected-estimator risk of pipeline against the best fixed grid member.
 
     The principal term is (1+3 delta)/(1-3 delta) times the best member risk;
     the residual estimate is the clamped excess (LHS - principal) * delta * n,
     the empirical stand-in for the rest term of the oracle inequality.
     """
-    score = partial(
-        _oracle_score, pipeline=SelectionPipeline(grid=grid, config=config, shrink_cfg=shrink_cfg)
-    )
+    config = pipeline.config
+    score = partial(_oracle_score, pipeline=pipeline)
     setup = _rep_setup((signal,), (spec,), master_seed, n, M)
     (table,) = _score_tables([(setup, score)], reps, workers)
     means, ses = _mean_se(table)
@@ -414,7 +411,7 @@ def oracle_report(
     residual = max(0.0, lhs - principal) * config.delta * n
     holds = lhs <= principal + residual / (config.delta * n) + 1e-12
     return RiskReport(
-        estimator_id="improved_selection" if shrink_cfg is not None else "selection",
+        estimator_id="improved_selection" if pipeline.shrink_cfg is not None else "selection",
         mean_risk=lhs,
         std_error=lhs_se,
         reps=reps,
@@ -435,12 +432,13 @@ def oracle_report(
 # ---------------------------------------------------------------------------
 
 
-def _improvement_score(path: ObservationPath, truth: np.ndarray, lam: np.ndarray,
+def _improvement_score(path: ObservationPath, truth: np.ndarray,
                        shrink_cfg: ShrinkageConfig) -> list:
-    """Shrunk risk, shrunk - plain risk, and the head-norm identity error."""
-    theta = estimate_fourier(path, lam.size).theta_hat
+    """Shrunk risk, shrunk - plain risk, and the head-norm identity error of
+    the d head estimates."""
+    theta = estimate_fourier(path, shrink_cfg.d).theta_hat
     theta_star, degenerate = shrink(theta, shrink_cfg)
-    risk_star, risk_plain = l2_risk_exact(lam * np.stack([theta_star, theta]), truth)
+    risk_star, risk_plain = l2_risk_exact(np.stack([theta_star, theta]), truth)
     dev = 0.0
     if not degenerate and shrink_cfg.c_n != 0.0:
         head = float(np.sqrt(np.sum(theta[: shrink_cfg.d] ** 2)))
@@ -452,7 +450,6 @@ def _improvement_score(path: ObservationPath, truth: np.ndarray, lam: np.ndarray
 def improvement_report(
     signal: Signal,
     spec: NoiseSpec,
-    weights: np.ndarray,
     shrink_cfg: ShrinkageConfig,
     reps: int,
     master_seed: int,
@@ -461,7 +458,8 @@ def improvement_report(
     M: int,
     workers: int = 1,
 ) -> RiskReport:
-    """Paired risk difference between the shrunk and plain weighted estimators.
+    """Paired risk difference between the shrunk and plain projections on
+    the d head estimates.
 
     Both estimators are evaluated on the same replication paths; delta_hat
     estimates E[risk(shrunk) - risk(plain)], to be compared with -c_n^2.
@@ -469,9 +467,7 @@ def improvement_report(
     """
     if math.sqrt(signal.norm_sq()) > shrink_cfg.r_star:
         raise ValueError("signal norm exceeds r_star; improvement bound hypothesis fails")
-    lam = np.asarray(weights, dtype=np.float64)
-    lam = np.pad(lam, (0, max(0, shrink_cfg.d - lam.size)))
-    score = partial(_improvement_score, lam=lam, shrink_cfg=shrink_cfg)
+    score = partial(_improvement_score, shrink_cfg=shrink_cfg)
     setup = _rep_setup((signal,), (spec,), master_seed, n, M)
     (table,) = _score_tables([(setup, score)], reps, workers)
     means, ses = _mean_se(table)
@@ -535,8 +531,8 @@ def efficiency_sweep(
     delta: float = 0.05,
     workers: int = 1,
 ) -> EfficiencyReport:
-    """Normalized worst-case risk of the improved selection at each horizon
-    (standard selection when the family mixes noise kinds).
+    """Normalized worst-case risk of the improved selection at each horizon,
+    its contraction bound the smallest over the family's members.
 
     The supremum over the smoothness ball is approximated by the max over
     n_signals sampled boundary signals plus the extremal single-frequency
@@ -547,15 +543,11 @@ def efficiency_sweep(
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
     pinsker = pinsker_constant(k, r)
-    kinds = {member.family for member in family.members}
-    estimator_id = "improved_selection" if len(kinds) == 1 else "selection"
     jobs = []
     for i_n, n in enumerate(n_values):
-        # a mixed family has no common contraction bound
         pipeline = SelectionPipeline.build(
             n, family.sigma_star, delta, sigma_known=family.sigma_star,
-            noise_kind=next(iter(kinds)) if len(kinds) == 1 else None,
-            rho_lower=family.rho_lower, a_max=family.a_max,
+            members=family.members, rho_lower=family.rho_lower, a_max=family.a_max,
         )
         support = pipeline.grid.max_support()
 
@@ -592,6 +584,6 @@ def efficiency_sweep(
                 argmax_member=int(i_m),
             )
         )
-    return EfficiencyReport(estimator_id=estimator_id, k=k, r=r, pinsker=pinsker, reps=reps,
-                            master_seed=master_seed, rows=tuple(rows))
+    return EfficiencyReport(estimator_id="improved_selection", k=k, r=r, pinsker=pinsker,
+                            reps=reps, master_seed=master_seed, rows=tuple(rows))
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -36,7 +36,6 @@ __all__ = [
     "model_select",
     "ou_min_dimension",
     "l_star",
-    "default_shrinkage_dim",
     "make_shrinkage_config",
     "shrink",
 ]
@@ -44,7 +43,7 @@ __all__ = [
 NOISE_FAMILIES = ("levy", "ou", "semimarkov")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightVector:
     """Pinsker weight sequence: ones up to d, polynomial decay to zero at omega."""
 
@@ -67,7 +66,7 @@ class WeightVector:
         return float(np.sum(self.lam))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeightGrid:
     """Finite family Lambda of weight vectors indexed by alpha = (beta, r).
 
@@ -136,7 +135,7 @@ class ShrinkageConfig:
         return self.l_star / ((self.r_star + math.sqrt(self.d / self.v_n)) * self.n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionResult:
     """Selected weights and the resulting estimate, with run diagnostics."""
 
@@ -289,11 +288,15 @@ def ou_min_dimension(a_max: float) -> int:
 
 
 def l_star(noise_family: str, d: int, rho_lower: float, a_max: Optional[float] = None) -> float:
-    """Lower trace bound for the head covariance: (d-1)*rho_lower for Levy,
+    """Lower bound on tr B - lambda_max(B) for the head covariance B of the
+    noise family's kind: (d-1)*rho_lower for Levy and semi-Markov, and
     (d-6)*rho_lower/2 for OU (requires d >= d0(a_max)).
 
-    The semi-Markov case reuses the Levy value; no published bound pins it
-    down, so callers may override it in the shrinkage config.
+    The semi-Markov kind has the Levy bound.  Its Brownian part rho1 L has
+    head covariance rho1^2 I, and the pulses add an independent positive
+    semi-definite P with tr P >= lambda_max(P), so tr B - lambda_max(B) >=
+    (d-1) rho1^2 + tr P - lambda_max(P) >= (d-1) rho_lower.  At d = 1 the
+    bound is 0: a one-coefficient head has nothing to contract by.
     """
     if noise_family not in NOISE_FAMILIES:
         raise ValueError(f"noise_family must be one of {NOISE_FAMILIES}")
@@ -306,18 +309,11 @@ def l_star(noise_family: str, d: int, rho_lower: float, a_max: Optional[float] =
         if d < d0:
             raise ValueError(f"head length d={d} below the OU feasibility floor d0={d0}")
         return (d - 6) * rho_lower / 2.0
-    if d < 2:
-        raise ValueError("head length d must be >= 2")
     return (d - 1) * rho_lower
 
 
-def default_shrinkage_dim(grid: WeightGrid) -> int:
-    """Plateau length of the widest grid member (at least 1)."""
-    return max(1, max(w.d for w in grid.members))
-
-
 def make_shrinkage_config(
-    noise_family: str,
+    members: Sequence,
     grid: WeightGrid,
     n: int,
     sigma_star: float,
@@ -328,22 +324,27 @@ def make_shrinkage_config(
     r_star: Optional[float] = None,
     l_star_override: Optional[float] = None,
 ) -> ShrinkageConfig:
-    """Assemble a shrinkage configuration with the documented defaults.
+    """Assemble the shrinkage configuration that covers every noise spec in
+    members, with the documented defaults.
 
-    d defaults to the widest plateau in the grid; r* defaults to ln(n+1).
-    When the family's bound is infeasible at this d (OU below d0, Levy at
-    d < 2) shrinkage is disabled (l* = 0) with a warning rather than failing.
+    l* is the smallest l_star over the members' kinds, whatever their order.
+    d defaults to the widest plateau in the grid (at least 1); r* defaults to
+    ln(n+1).  When a member's bound is infeasible at this d (OU below d0)
+    shrinkage is disabled for the whole family (l* = 0) with a warning
+    rather than failing.
     """
-    dim = default_shrinkage_dim(grid) if d is None else int(d)
+    if isinstance(members, str):
+        raise TypeError(f"members must be noise specs, not the string {members!r}")
+    if not members:
+        raise ValueError("members must name at least one noise spec")
+    dim = max(1, max(w.d for w in grid.members)) if d is None else int(d)
     rs = math.log(n + 1.0) if r_star is None else float(r_star)
     v_n = minimax_rate_vn(n, sigma_star)
     if l_star_override is not None:
         ls = float(l_star_override)
-    elif noise_family in ("levy", "semimarkov") and dim < 2:
-        ls = 0.0  # the (d-1) bound vanishes at d=1: nothing to shrink with
     else:
         try:
-            ls = l_star(noise_family, dim, rho_lower, a_max)
+            ls = min(l_star(m.family, dim, rho_lower, a_max) for m in members)
         except ValueError as exc:
             warnings.warn(f"shrinkage disabled: {exc}", stacklevel=2)
             ls = 0.0

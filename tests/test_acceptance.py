@@ -29,6 +29,7 @@ from semimartreg.observe import (
     signal_increments,
 )
 from semimartreg.risk import (
+    SelectionPipeline,
     build_grid_for,
     efficiency_sweep,
     improvement_report,
@@ -130,9 +131,8 @@ def test_criterion_4_oracle_inequality():
     delta, reps = 0.05, 500
     rows = []
     for n in (100, 200, 400):
-        grid = build_grid_for(n, sigma_star)
-        cfg = SelectionConfig(delta=delta, n=n)
-        rep = oracle_report(sig, spec, grid, cfg, reps, 2024, n=n, M=max(256, 2 * n))
+        pipeline = SelectionPipeline.build(n, sigma_star, delta)
+        rep = oracle_report(sig, spec, pipeline, reps, 2024, n=n, M=max(256, 2 * n))
         rows.append(rep)
     holds = all(r.oracle_holds for r in rows)
     structural = all(
@@ -151,9 +151,9 @@ def test_criterion_5_improvement_bound():
     n, M, reps = 100, 256, 2000
     spec = LevySpec(1.0, 0.0)
     grid = build_grid_for(n, 1.0)
-    shrink_cfg = make_shrinkage_config("levy", grid, n, 1.0, rho_lower=1.0, d=10)
+    shrink_cfg = make_shrinkage_config((spec,), grid, n, 1.0, rho_lower=1.0, d=10)
     sig = Signal(np.array([0.5, 0.3, 0.2]))
-    rep = improvement_report(sig, spec, np.ones(10), shrink_cfg, reps, 11, n=n, M=M)
+    rep = improvement_report(sig, spec, shrink_cfg, reps, 11, n=n, M=M)
     gap = rep.delta_hat - rep.improvement_bound  # delta_hat + c_n^2
     ok = gap <= 3 * rep.delta_se and rep.identity_max_dev <= 1e-12
     report(5, "improvement bound", ok,
@@ -193,13 +193,13 @@ def test_criterion_6_improved_vs_standard():
     scenarios = []
 
     levy = LevySpec(1.0, 0.0)
-    shr_levy = make_shrinkage_config("levy", grid, n, 1.0, rho_lower=1.0, d=10)
+    shr_levy = make_shrinkage_config((levy,), grid, n, 1.0, rho_lower=1.0, d=10)
     cfg_levy = SelectionConfig(delta=0.05, n=n)
     scenarios.append(("levy/concentrated", levy, cfg_levy, shr_levy, concentrated, 21))
     scenarios.append(("levy/zero", levy, cfg_levy, shr_levy, zero, 21))
 
     ou = OuSpec(a=-0.6, a_max=1.0, driving=LevySpec(1.0, 0.5))
-    shr_ou = make_shrinkage_config("ou", grid, n, 1.0, rho_lower=1.0, a_max=1.0, d=58)
+    shr_ou = make_shrinkage_config((ou,), grid, n, 1.0, rho_lower=1.0, a_max=1.0, d=58)
     cfg_ou = SelectionConfig(delta=0.05, n=n)
     scenarios.append(("ou/concentrated", ou, cfg_ou, shr_ou, concentrated, 22))
     scenarios.append(("ou/zero", ou, cfg_ou, shr_ou, zero, 22))
@@ -252,7 +252,8 @@ def test_criterion_8_bruteforce_equivalence():
     assert grid.nu <= 50
     J = grid.max_support()
     rng = np.random.default_rng(88)
-    shrink_cfg = make_shrinkage_config("levy", grid, n, 1.0, rho_lower=1.0, d=min(6, J))
+    shrink_cfg = make_shrinkage_config((LevySpec(1.0, 0.0),), grid, n, 1.0, rho_lower=1.0,
+                                       d=min(6, J))
     mismatches = 0
     for _ in range(20):
         th = rng.normal(size=J) * 0.4

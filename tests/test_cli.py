@@ -109,15 +109,23 @@ class TestDeterminism:
         assert run(["estimate", "--config", cfg, "--out-dir", str(b), "--workers", "2"]) == EXIT_OK
         assert (a / "estimate_record.json").read_bytes() == (b / "estimate_record.json").read_bytes()
 
-    def test_env_seed_overrides(self, tmp_path, monkeypatch):
-        cfg = zero_noise_config(tmp_path)
-        out1, out2 = tmp_path / "e1", tmp_path / "e2"
-        monkeypatch.setenv("SEMIMART_SEED", "99")
-        run(["simulate", "--config", cfg, "--out-dir", str(out1), "--workers", "1"])
-        monkeypatch.delenv("SEMIMART_SEED")
-        run(["simulate", "--config", cfg, "--seed", "99", "--out-dir", str(out2),
-             "--workers", "1"])
-        assert (out1 / "simulate_record.json").read_bytes() == (out2 / "simulate_record.json").read_bytes()
+    def test_seed_flag_overrides(self, tmp_path, monkeypatch):
+        # --seed 99 runs the config as if it said seed 99; the environment
+        # sets no seed
+        monkeypatch.setenv("SEMIMART_SEED", "7")
+        records = []
+        for name, seed, flag in (("s1", 5, ["--seed", "99"]), ("s2", 99, [])):
+            cfg = write_config(tmp_path, f"{name}.json", {
+                "signal": {"coeffs": [0.4, 0.3, -0.2]},
+                "noise": {"family": "levy", "rho1": 0.5, "rho2": 0.0},
+                "n": 4, "M": 64, "J": 8, "reps": 10, "seed": seed,
+            })
+            out = tmp_path / name
+            assert run(["simulate", "--config", cfg, *flag, "--out-dir", str(out),
+                        "--workers", "1"]) == EXIT_OK
+            records.append(json.loads((out / "simulate_record.json").read_text()))
+        assert records[0]["seed"] == records[1]["seed"] == 99
+        assert records[0]["theta_hat"] == records[1]["theta_hat"]
 
 
 class TestEstimate:
@@ -155,6 +163,30 @@ class TestEstimate:
         assert record["report"]["argmax_member"] in (0, 1)
         assert "selection_example" in record
         assert record["selection_example"]["sigma_hat"] == 1.0
+
+
+    def test_improved_family_bound_ignores_member_order(self, tmp_path):
+        # the contraction bound covers the whole family, whatever its order
+        base = json.loads((pathlib.Path(__file__).parent / "golden" / "configs"
+                           / "family_three_kinds.json").read_text())
+        base.update(estimator="improved", shrinkage={"d": 60}, reps=20)
+        levy, ou, semimarkov = base["noise_family"]["members"]
+        records = []
+        for name, members in (("levy_first", [levy, ou, semimarkov]),
+                              ("ou_first", [ou, levy, semimarkov])):
+            base["noise_family"]["members"] = members
+            cfg = write_config(tmp_path, f"{name}.json", base)
+            out = tmp_path / name
+            assert run(["estimate", "--config", cfg, "--out-dir", str(out),
+                        "--workers", "1"]) == EXIT_OK
+            records.append(json.loads((out / "estimate_record.json").read_text()))
+        a, b = records
+        # the OU member's (d-6) rho_lower/2 is the smaller bound
+        c_n = 54 * 0.36 / 2 / ((math.log(101.0) + math.sqrt(0.6)) * 100)
+        assert a["selection_example"]["c_n"] == b["selection_example"]["c_n"]
+        assert a["selection_example"]["c_n"] == pytest.approx(c_n, rel=1e-12)
+        risks = a["report"]["member_risks"]
+        assert b["report"]["member_risks"] == [risks[1], risks[0], risks[2]]
 
 
 class TestImproveCheck:
@@ -295,9 +327,12 @@ class TestValidation:
     @pytest.mark.parametrize("field, extra", [
         ("J", {"J": 60}),
         ("estimator.projection", {"J": 8, "estimator": {"projection": 40}}),
+        ("signal", {"signal": {"coeffs": [0.0] * 63 + [0.3]}, "M": 64}),
+        ("signal", {"signal": {"sobolev": {"k": 1, "r": 1.0, "J": 64}}, "M": 64}),
     ])
     def test_aliased_frequency_is_a_config_error(self, tmp_path, capsys, field, extra):
-        # on M = 32 cell midpoints, frequency 30 of J = 60 reads as frequency 2
+        # on M = 32 cell midpoints, frequency 30 of J = 60 reads as frequency 2;
+        # a 64-coefficient signal's frequency 32 = M/2 is unseen on M = 64
         cfg = write_config(tmp_path, "alias.json", {
             "signal": {"coeffs": [1.0]},
             "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.0},
@@ -307,6 +342,15 @@ class TestValidation:
         err = capsys.readouterr().err
         assert f"config field '{field}'" in err
         assert "2*(J//2) < M" in err
+
+    def test_signal_below_the_ceiling_is_accepted(self, tmp_path):
+        cfg = write_config(tmp_path, "edge.json", {
+            "signal": {"coeffs": [0.0] * 62 + [0.3]},
+            "noise": {"family": "levy", "rho1": 1.0, "rho2": 0.0},
+            "n": 100, "M": 64, "J": 10, "seed": 1,
+        })
+        assert run(["simulate", "--config", cfg, "--out-dir", str(tmp_path / "o"),
+                    "--workers", "1"]) == EXIT_OK
 
     @pytest.mark.parametrize("exc", [TypeError("bad operand"), KeyError("missing")])
     def test_unexpected_handler_error_exit_code(self, tmp_path, capsys, monkeypatch, exc):
@@ -488,3 +532,4 @@ def test_cli_import_loads_no_scipy():
 def test_cli_import_loads_no_multiprocessing():
     # the process pool is imported by the runs that use one
     assert modules_after_cli_import("multiprocessing") == "[]"
+

@@ -5,7 +5,8 @@ Each case runs one command on one config at a reduced --reps with
 the copy under tests/golden/<case>/<format>/.  The three shipped configs
 are covered, plus two under tests/golden/configs/ that reach the shrunk
 selection (an improved oracle check and estimate), the mixed-family
-sweep, which runs standard selection, and the robust risk of an estimate
+sweep, whose OU member below d0 gives its improved selection a zero
+contraction budget, and the robust risk of an estimate
 over that mixed family and over the Levy, OU and semi-Markov members of
 the benchmark's sweep family.  The cases in POOLED run again at --workers 2
 against the same files, since the worker count must not move a byte.

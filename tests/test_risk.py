@@ -186,7 +186,7 @@ class TestOracleReport:
         grid = build_grid_for(100, 0.5)
         sig = Signal(np.array([0.5, 0.3, -0.2, 0.1]))
         cfg = SelectionConfig(delta=0.05, n=100)
-        report = oracle_report(sig, spec, grid, cfg, 150, 13, n=100, M=256)
+        report = oracle_report(sig, spec, SelectionPipeline(grid, cfg), 150, 13, n=100, M=256)
         assert report.oracle_lhs >= min(report.member_risks) - 3 * report.std_error
         assert report.oracle_holds
         assert report.oracle_factor == pytest.approx(1.15 / 0.85)
@@ -198,7 +198,7 @@ class TestOracleReport:
         grid = build_weight_grid(50, 1.0, k_star=1, epsilon=1.0)
         sig = Signal(np.array([0.4, 0.2]))
         cfg = SelectionConfig(delta=0.05, n=50, sigma_known=1.0)
-        report = oracle_report(sig, spec, grid, cfg, 100, 15, n=50, M=64)
+        report = oracle_report(sig, spec, SelectionPipeline(grid, cfg), 100, 15, n=50, M=64)
         assert report.oracle_lhs == pytest.approx(report.member_risks[0], rel=1e-12)
 
     def test_selection_pipeline_matches_manual_selection(self):
@@ -211,7 +211,7 @@ class TestOracleReport:
         n, M = 60, 64
         grid = build_grid_for(n, 0.74)
         cfg = SelectionConfig(delta=0.05, n=n)
-        shrink_cfg = make_shrinkage_config("levy", grid, n, 0.74, rho_lower=0.49, d=4)
+        shrink_cfg = make_shrinkage_config((spec,), grid, n, 0.74, rho_lower=0.49, d=4)
         sig = Signal(np.array([0.4, 0.2]))
         noise = simulate(spec, n, M, derive_rng(77, 0))
         path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
@@ -233,8 +233,8 @@ class TestOracleReport:
         grid = build_grid_for(60, 0.5)
         sig = Signal(np.array([0.3, 0.2]))
         cfg = SelectionConfig(delta=0.05, n=60)
-        a = oracle_report(sig, spec, grid, cfg, 40, 3, n=60, M=64)
-        b = oracle_report(sig, spec, grid, cfg, 40, 3, n=60, M=64)
+        a = oracle_report(sig, spec, SelectionPipeline(grid, cfg), 40, 3, n=60, M=64)
+        b = oracle_report(sig, spec, SelectionPipeline(grid, cfg), 40, 3, n=60, M=64)
         assert a == b
 
     def test_oracle_score_member_risks_per_member(self):
@@ -249,7 +249,8 @@ class TestOracleReport:
         grid = build_grid_for(n, 0.74)
         J = grid.max_support()
         cfg = SelectionConfig(delta=0.05, n=n)
-        shrink_cfg = make_shrinkage_config("levy", grid, n, 0.74, rho_lower=0.49, d=4)
+        shrink_cfg = make_shrinkage_config((LevySpec(0.7, 0.5),), grid, n, 0.74, rho_lower=0.49,
+                                           d=4)
         pipeline = SelectionPipeline(grid=grid, config=cfg, shrink_cfg=shrink_cfg)
         assert pipeline.J == J
         truth = np.random.default_rng(5).normal(size=J + 6) / 10
@@ -274,7 +275,7 @@ class TestOracleReport:
         J = grid.max_support()
         sig = Signal(np.array([0.5, 0.3, -0.2, 0.1]))
         cfg = SelectionConfig(delta=0.05, n=n, sigma_known=0.5)
-        rep_report = oracle_report(sig, spec, grid, cfg, reps, seed, n=n, M=M)
+        rep_report = oracle_report(sig, spec, SelectionPipeline(grid, cfg), reps, seed, n=n, M=M)
 
         det = n * signal_increments(sig, 1, M)
         theta = np.concatenate([sig.coeffs, np.zeros(J - sig.coeffs.size)])
@@ -288,6 +289,42 @@ class TestOracleReport:
                                    rtol=1e-10)
 
 
+class TestSelectionPipelineBuild:
+    """The contraction bound of a family is the smallest over its members,
+    whatever their order."""
+
+    LEVY = LevySpec(0.6, 0.8)
+    OU = OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6))
+    SEMIMARKOV = SemiMarkovSpec(0.8, 0.42, 0.5, TauDist.exponential(0.5))
+
+    @staticmethod
+    def build(members, d):
+        return SelectionPipeline.build(100, 1.0, 0.05, members=members, rho_lower=0.36,
+                                       a_max=1.0, d=d)
+
+    @pytest.mark.parametrize("members", [(LEVY, SEMIMARKOV), (SEMIMARKOV, LEVY)])
+    def test_levy_and_semimarkov_share_the_levy_bound(self, members):
+        assert self.build(members, 10).shrink_cfg.l_star == pytest.approx(9 * 0.36)
+
+    @pytest.mark.parametrize("members", [(LEVY, OU), (OU, LEVY)])
+    def test_ou_member_sets_the_bound_above_d0(self, members):
+        assert self.build(members, 60).shrink_cfg.l_star == pytest.approx(54 * 0.36 / 2)
+
+    @pytest.mark.parametrize("members", [(LEVY, OU), (OU, LEVY)])
+    def test_ou_member_below_d0_disables_shrinkage(self, members):
+        with pytest.warns(UserWarning, match="d0=58"):
+            shrink_cfg = self.build(members, 57).shrink_cfg
+        assert shrink_cfg.l_star == 0.0
+
+    def test_no_members_is_standard_selection(self):
+        assert SelectionPipeline.build(100, 1.0, 0.05).shrink_cfg is None
+
+    def test_pipelines_compare_by_identity(self):
+        a, b = self.build((self.LEVY,), 10), self.build((self.LEVY,), 10)
+        assert a == a
+        assert (a == b) is False
+
+
 class TestImprovementReport:
     def setup_cfg(self, d=10, n=100, l=9.0):
         return ShrinkageConfig(d=d, l_star=l, r_star=math.log(n + 1.0), v_n=float(n), n=n)
@@ -295,7 +332,7 @@ class TestImprovementReport:
     def test_zero_budget_means_zero_delta(self):
         cfg = ShrinkageConfig(d=5, l_star=0.0, r_star=5.0, v_n=100.0, n=100)
         report = improvement_report(
-            Signal(np.array([0.5])), LevySpec(1.0, 0.0), np.ones(5), cfg, 50, 2,
+            Signal(np.array([0.5])), LevySpec(1.0, 0.0), cfg, 50, 2,
             n=100, M=256,
         )
         assert report.delta_hat == 0.0
@@ -305,26 +342,23 @@ class TestImprovementReport:
     def test_levy_improvement_bound(self):
         cfg = self.setup_cfg()
         sig = Signal(np.array([0.5, 0.3, 0.2]))
-        report = improvement_report(sig, LevySpec(1.0, 0.0), np.ones(10), cfg,
-                                    800, 6, n=100, M=256)
+        report = improvement_report(sig, LevySpec(1.0, 0.0), cfg, 800, 6, n=100, M=256)
         assert report.delta_hat - report.improvement_bound <= 3 * report.delta_se
         assert report.identity_max_dev < 1e-12
 
     def test_pairing_seed_stability(self):
         cfg = self.setup_cfg()
         sig = Signal(np.array([0.5, 0.3, 0.2]))
-        a = improvement_report(sig, LevySpec(1.0, 0.0), np.ones(10), cfg, 800, 6,
-                               n=100, M=256)
-        b = improvement_report(sig, LevySpec(1.0, 0.0), np.ones(10), cfg, 800, 60,
-                               n=100, M=256)
+        a = improvement_report(sig, LevySpec(1.0, 0.0), cfg, 800, 6, n=100, M=256)
+        b = improvement_report(sig, LevySpec(1.0, 0.0), cfg, 800, 60, n=100, M=256)
         combined = math.hypot(a.delta_se, b.delta_se)
         assert abs(a.delta_hat - b.delta_hat) <= 3 * combined
 
     def test_signal_norm_hypothesis_enforced(self):
         cfg = ShrinkageConfig(d=3, l_star=2.0, r_star=0.5, v_n=100.0, n=100)
         with pytest.raises(ValueError):
-            improvement_report(Signal(np.array([5.0])), LevySpec(1.0, 0.0),
-                               np.ones(3), cfg, 10, 0, n=100, M=256)
+            improvement_report(Signal(np.array([5.0])), LevySpec(1.0, 0.0), cfg, 10, 0,
+                               n=100, M=256)
 
 
 class TestPinskerConstant:
@@ -365,17 +399,19 @@ class TestEfficiencySweep:
         assert report.rows[0].normalization == pytest.approx(50 ** (2.0 / 3.0))
         assert report.rows[1].v_n == 100.0
 
-    def test_estimator_label_follows_family_kinds(self):
-        # a family that mixes noise kinds runs no shrinkage
+    def test_every_family_runs_improved_selection(self):
+        # a family with an OU member below d0 shrinks by c_n = 0, and says so
         levy = RobustFamily(members=(LevySpec(1.0, 0.0), LevySpec(0.8, 0.6)),
                             rho_lower=0.6, sigma_star=1.0)
         mixed = RobustFamily(
             members=(LevySpec(1.0, 0.0), OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6))),
             rho_lower=0.6, sigma_star=1.0,
         )
-        for fam, label in ((levy, "improved_selection"), (mixed, "selection")):
-            report = efficiency_sweep(1, 1.0, fam, [50], 2, 3, M=64, n_signals=1)
-            assert report.estimator_id == label
+        report = efficiency_sweep(1, 1.0, levy, [50], 2, 3, M=64, n_signals=1)
+        assert report.estimator_id == "improved_selection"
+        with pytest.warns(UserWarning, match="shrinkage disabled"):
+            report = efficiency_sweep(1, 1.0, mixed, [50], 2, 3, M=64, n_signals=1)
+        assert report.estimator_id == "improved_selection"
 
     def test_one_pool_for_all_horizons(self, monkeypatch):
         import concurrent.futures

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cost_reference import cost, penalty
+from semimartreg.noise import LevySpec, OuSpec
 from semimartreg.select import (
     SelectionConfig,
     ShrinkageConfig,
@@ -77,6 +78,14 @@ class TestWeightGrid:
         grid = build_weight_grid(60, 1.0)
         alphas = [w.alpha for w in grid.members]
         assert alphas == sorted(alphas)
+
+    def test_grids_compare_by_identity(self):
+        # comparing array fields elementwise would raise "truth value of an
+        # array is ambiguous"
+        a, b = build_weight_grid(100, 1.0), build_weight_grid(100, 1.0)
+        assert a == a
+        assert (a == b) is False
+        assert (a.members[0] == b.members[0]) is False
 
     @staticmethod
     def length_n_member(n, sigma_star, beta, r):
@@ -234,9 +243,8 @@ class TestLStar:
     def test_semimarkov_mirrors_levy(self):
         assert l_star("semimarkov", 10, 0.5) == l_star("levy", 10, 0.5)
 
-    def test_levy_needs_two_dims(self):
-        with pytest.raises(ValueError):
-            l_star("levy", 1, 1.0)
+    def test_levy_bound_vanishes_at_one_dim(self):
+        assert l_star("levy", 1, 1.0) == 0
 
 
 class TestShrink:
@@ -317,15 +325,19 @@ class TestImprovedSelect:
         np.testing.assert_array_equal(a.signal.coeffs, b.signal.coeffs)
 
 
+LEVY = LevySpec(1.0, 0.0)
+OU = OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(1.0, 0.5))
+
+
 class TestMakeShrinkageConfig:
     def test_levy_default_dim_is_plateau(self):
         grid = build_weight_grid(100, 1.0)
-        cfg = make_shrinkage_config("levy", grid, 100, 1.0, rho_lower=1.0)
+        cfg = make_shrinkage_config((LEVY,), grid, 100, 1.0, rho_lower=1.0)
         assert cfg.d == max(w.d for w in grid.members)
 
     def test_levy_explicit_dim(self):
         grid = build_weight_grid(100, 1.0)
-        cfg = make_shrinkage_config("levy", grid, 100, 1.0, rho_lower=1.0, d=10)
+        cfg = make_shrinkage_config((LEVY,), grid, 100, 1.0, rho_lower=1.0, d=10)
         assert cfg.l_star == pytest.approx(9.0)
         assert cfg.c_n == pytest.approx(
             9.0 / ((math.log(101.0) + math.sqrt(10.0 / 100.0)) * 100.0)
@@ -334,9 +346,24 @@ class TestMakeShrinkageConfig:
     def test_ou_infeasible_disables_with_warning(self):
         grid = build_weight_grid(100, 1.0)
         with pytest.warns(UserWarning):
-            cfg = make_shrinkage_config("ou", grid, 100, 1.0, rho_lower=1.0, a_max=1.0, d=10)
+            cfg = make_shrinkage_config((OU,), grid, 100, 1.0, rho_lower=1.0, a_max=1.0, d=10)
         assert cfg.l_star == 0.0
         assert cfg.c_n == 0.0
+
+    def test_levy_at_one_dim_has_zero_budget(self):
+        grid = build_weight_grid(100, 1.0)
+        cfg = make_shrinkage_config((LEVY,), grid, 100, 1.0, rho_lower=1.0, d=1)
+        assert cfg.l_star == 0.0
+        assert cfg.c_n == 0.0
+
+    def test_bare_kind_string_rejected(self):
+        # a string is a sequence too; its characters are no noise specs
+        grid = build_weight_grid(100, 1.0)
+        for kw in ({}, {"l_star_override": 1.0}):
+            with pytest.raises(TypeError, match="string"):
+                make_shrinkage_config("levy", grid, 100, 1.0, rho_lower=1.0, d=10, **kw)
+        with pytest.raises(ValueError, match="at least one"):
+            make_shrinkage_config((), grid, 100, 1.0, rho_lower=1.0, d=10)
 
     def test_config_invariants(self):
         with pytest.raises(ValueError):
