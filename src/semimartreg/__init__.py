@@ -22,13 +22,12 @@ os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .signal import Signal, SobolevBallSpec, trig_basis, synthesize, fourier_coeffs, sample_sobolev, sobolev_norm
+from .signal import Signal, SobolevBallSpec, synthesize, sample_sobolev, sobolev_norm
 from .noise import (
     LevySpec,
     OuSpec,
     SemiMarkovSpec,
     TauDist,
-    NoisePath,
     RobustFamily,
     derive_rng,
     simulate,
@@ -37,7 +36,7 @@ from .noise import (
     simulate_semimarkov,
     nominal_sigma,
 )
-from .observe import ObservationPath, FourierEstimates, signal_increments, estimate_fourier, estimate_variance_proxy
+from .observe import ObservationPath, signal_increments, estimate_fourier, estimate_variance_proxy
 from .select import (
     WeightVector,
     WeightGrid,

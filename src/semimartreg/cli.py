@@ -160,6 +160,7 @@ class ExperimentConfig:
     config_hash: str
 
     def primary_noise(self) -> NoiseSpec:
+        """The configured spec, or the first member of the family."""
         if self.noise is not None:
             return self.noise
         return self.family.members[0]
@@ -239,6 +240,8 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
             raise _fail("noise_family", str(exc)) from exc
     if noise is None and family is None:
         raise _fail("noise", "config needs 'noise' or 'noise_family'")
+    if noise is not None and family is not None:
+        raise _fail("noise_family", "config gives 'noise' too; give one of the two")
 
     sigma_source = data.get("sigma_source", "estimated")
     if sigma_source == "estimated":
@@ -259,26 +262,28 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
     shrink_conf = data.get("shrinkage", {})
     if not isinstance(shrink_conf, dict):
         raise _fail("shrinkage", "must be an object")
+    bounds = {"d": {"lo": 1, "integer": True}, "r_star": {"positive": True}}
     overrides = {}
-    for key, bounds in (("d", {"lo": 1, "integer": True}), ("r_star", {"positive": True}),
-                        ("l_star", {"lo": 0})):
-        if shrink_conf.get(key) is not None:
-            overrides[key] = _num(shrink_conf[key], f"shrinkage.{key}", **bounds)
+    for key, value in shrink_conf.items():
+        if key not in bounds:
+            raise _fail(f"shrinkage.{key}", "unknown key; shrinkage takes 'd' and 'r_star'")
+        if value is not None:
+            overrides[key] = _num(value, f"shrinkage.{key}", **bounds[key])
 
     efficiency = data.get("efficiency", {})
     if efficiency:
-        _num(_get(efficiency, "k", "efficiency"), "efficiency.k", lo=1, integer=True)
-        _num(_get(efficiency, "r", "efficiency"), "efficiency.r", positive=True)
+        k = _num(_get(efficiency, "k", "efficiency"), "efficiency.k", lo=1, integer=True)
+        r = _num(_get(efficiency, "r", "efficiency"), "efficiency.r", positive=True)
         values = _get(efficiency, "n_values", "efficiency")
         if not isinstance(values, list) or not values:
             raise _fail("efficiency.n_values", "must be a nonempty list")
-        prev = 1
-        for i, v in enumerate(values):
-            v = _num(v, f"efficiency.n_values[{i}]", lo=2, integer=True)
-            if v <= prev and i > 0:
-                raise _fail("efficiency.n_values", "must be strictly increasing")
-            prev = v
-        _num(efficiency.get("n_signals", 3), "efficiency.n_signals", lo=0, integer=True)
+        n_values = [_num(v, f"efficiency.n_values[{i}]", lo=2, integer=True)
+                    for i, v in enumerate(values)]
+        if any(b <= a for a, b in zip(n_values, n_values[1:])):
+            raise _fail("efficiency.n_values", "must be strictly increasing")
+        n_signals = _num(efficiency.get("n_signals", 3), "efficiency.n_signals",
+                         lo=0, integer=True)
+        efficiency = {"k": k, "r": r, "n_values": n_values, "n_signals": n_signals}
 
     # J, read by simulate alone, defaults to n, which simulate checks
     # against M itself (see _check_ceiling)
@@ -398,20 +403,28 @@ def _selection_parts(cfg: ExperimentConfig, improved: bool) -> SelectionPipeline
     )
 
 
+def _one_law(cfg: ExperimentConfig) -> NoiseSpec:
+    """The noise law of a command that runs one: the configured spec, or the
+    member of a one-member family."""
+    if cfg.family is not None and len(cfg.family.members) > 1:
+        raise _fail("noise_family", f"this command runs one noise law, got "
+                    f"{len(cfg.family.members)} members; give 'noise' or one member")
+    return cfg.primary_noise()
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
     """The full path of replicate 0 cell by cell, and the estimates from its fold."""
+    spec = _one_law(cfg)
     _check_ceiling(cfg.J, cfg.M, "M")
-    rng = derive_rng(cfg.seed, 0)
-    noise = simulate(cfg.primary_noise(), cfg.n, cfg.M, rng, fold=False)
-    dy = signal_increments(cfg.signal, cfg.n, cfg.M) + noise.increments
+    noise = simulate(spec, cfg.n, cfg.M, derive_rng(cfg.seed, 0), fold=False)
+    dy = signal_increments(cfg.signal, cfg.n, cfg.M) + noise
     folded = ObservationPath(dy.reshape(cfg.n, cfg.M).sum(axis=0), cfg.n, cfg.M)
-    theta = estimate_fourier(folded, cfg.J)
     record = {
         **_provenance(cfg, "simulate"),
         "n": cfg.n,
         "M": cfg.M,
         "total_increment": float(np.sum(dy)),
-        "theta_hat": theta.theta_hat.tolist(),
+        "theta_hat": estimate_fourier(folded, cfg.J).tolist(),
     }
     rows = [[(i + 0.5) / cfg.M, float(x), cfg.config_hash[:16]]
             for i, x in enumerate(dy)]
@@ -460,9 +473,10 @@ def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> di
 
 
 def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
+    spec = _one_law(cfg)
     pipeline = _selection_parts(cfg, improved=cfg.estimator == "improved")
     _check_ceiling(pipeline.estimates_read, cfg.M, "M")
-    report = oracle_report(cfg.signal, cfg.primary_noise(), pipeline, cfg.reps, cfg.seed,
+    report = oracle_report(cfg.signal, spec, pipeline, cfg.reps, cfg.seed,
                            n=cfg.n, M=cfg.M, workers=workers)
     record = {**_provenance(cfg, "oracle-check"), "report": report.to_dict()}
     rows = [[i, r, s, cfg.config_hash[:16]]
@@ -473,9 +487,10 @@ def cmd_oracle_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int
 
 
 def cmd_improve_check(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) -> dict:
+    spec = _one_law(cfg)
     shrink_cfg = _selection_parts(cfg, improved=True).shrink_cfg
     _check_ceiling(shrink_cfg.d, cfg.M, "M")
-    report = improvement_report(cfg.signal, cfg.primary_noise(), shrink_cfg, cfg.reps, cfg.seed,
+    report = improvement_report(cfg.signal, spec, shrink_cfg, cfg.reps, cfg.seed,
                                 n=cfg.n, M=cfg.M, workers=workers)
     record = {**_provenance(cfg, "improve-check"), "report": report.to_dict()}
     rows = [[cfg.n, report.delta_hat, report.delta_se, report.improvement_bound,
@@ -493,11 +508,8 @@ def cmd_efficiency_sweep(cfg: ExperimentConfig, out_dir: str, fmt: str, workers:
         raise ConfigError("config field 'noise_family': efficiency sweep needs a family")
     eff = cfg.efficiency
     report = efficiency_sweep(
-        int(eff["k"]), float(eff["r"]), cfg.family,
-        [int(v) for v in eff["n_values"]],
-        cfg.reps, cfg.seed, M=cfg.M,
-        n_signals=int(eff.get("n_signals", 3)),
-        delta=cfg.delta, workers=workers,
+        eff["k"], eff["r"], cfg.family, eff["n_values"], cfg.reps, cfg.seed, M=cfg.M,
+        n_signals=eff["n_signals"], delta=cfg.delta, workers=workers,
     )
     record = {**_provenance(cfg, "efficiency-sweep"), "report": report.to_dict()}
     rows = [[row.n, report.estimator_id, row.sup_risk, row.sup_se, row.ratio,

@@ -3,7 +3,8 @@
 The grid has M cells per unit time on [0, n].  Every estimator reads only
 the fold of a path: the M per-period sums, entry i summing the increments
 over cell i of each of the n periods.  The simulators therefore return the
-fold by default, and the full path of n*M cell increments with fold=False.
+fold, an (M,) array, by default, and the full path, the (n*M,) array of
+cell increments, with fold=False.
 
 - Levy: the fold is sampled directly and exactly in law.  The n increments
   summed into one entry are i.i.d., so their sum is one increment over a
@@ -46,7 +47,6 @@ __all__ = [
     "OuSpec",
     "TauDist",
     "SemiMarkovSpec",
-    "NoisePath",
     "RobustFamily",
     "NoiseSpec",
     "derive_rng",
@@ -176,26 +176,6 @@ NoiseSpec = Union[LevySpec, OuSpec, SemiMarkovSpec]
 
 
 @dataclass(frozen=True)
-class NoisePath:
-    """Noise on [0, n] with M cells of width 1/M per unit time: the n*M cell
-    increments of a full path, or, when folded, its M per-period sums."""
-
-    increments: np.ndarray
-    n: int
-    M: int
-    folded: bool = False
-
-    def __post_init__(self):
-        arr = np.asarray(self.increments, dtype=np.float64)
-        size, name = (self.M, "M") if self.folded else (self.n * self.M, "n*M")
-        if arr.ndim != 1 or arr.size != size:
-            raise ValueError(f"increments must have length {name}={size}, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("noise increments must be finite")
-        object.__setattr__(self, "increments", arr)
-
-
-@dataclass(frozen=True)
 class RobustFamily:
     """Finite family of noise specs sharing the robustness bounds.
 
@@ -265,15 +245,15 @@ def _levy_increments(spec: LevySpec, cells: int, width: float, rng: Generator) -
 
 
 def simulate_levy(spec: LevySpec, n: int, M: int, rng: Generator, *,
-                  fold: bool = True) -> NoisePath:
+                  fold: bool = True) -> np.ndarray:
     """xi = rho1*w + rho2*z with z a compensated compound-Poisson martingale.
 
     The fold is drawn as M cells of length n/M, each with the law of the
     sum of the n cells of length 1/M it stands for."""
     _check_grid(n, M)
     if fold:
-        return NoisePath(_levy_increments(spec, M, n / M, rng), n, M, folded=True)
-    return NoisePath(_levy_increments(spec, n * M, 1.0 / M, rng), n, M)
+        return _levy_increments(spec, M, n / M, rng)
+    return _levy_increments(spec, n * M, 1.0 / M, rng)
 
 
 # A scaled cumsum multiplies by phi^-l up to e^_MAX_LOG_SCALE (about 1e260),
@@ -363,7 +343,7 @@ def _ou_full_path(du: np.ndarray, a: float) -> np.ndarray:
 
 
 def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
-                fold: bool = True) -> NoisePath:
+                fold: bool = True) -> np.ndarray:
     """Per-cell recursion xi_{i+1} = phi xi_i + du_i, xi_0 = 0, phi = exp(a/M),
     observed through its increments.
 
@@ -379,8 +359,7 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
     _check_grid(n, M)
     drv, a = spec.driving, spec.a
     if not fold:
-        du = simulate_levy(drv, n, M, rng, fold=False).increments
-        return NoisePath(_ou_full_path(du.reshape(n, M), a), n, M)
+        return _ou_full_path(simulate_levy(drv, n, M, rng, fold=False).reshape(n, M), a)
     g, c = _ou_weights(a, n, M)
     c_mean, spread = _ou_fold_moments(a, n, M)
     z = rng.standard_normal(M + 1)
@@ -390,11 +369,11 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
     q, l = np.divmod(pos, M)
     F += drv.rho2 * np.bincount(l, weights=sizes, minlength=M)
     S += drv.rho2 * float(np.sum(c[q] * g[l] * sizes))
-    return NoisePath(_ou_period(F, S, a), n, M, folded=True)
+    return _ou_period(F, S, a)
 
 
 def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator, *,
-                        fold: bool = True) -> NoisePath:
+                        fold: bool = True) -> np.ndarray:
     """xi = rho1*L + rho2*X with X the renewal pulse train.
 
     rho1*L is the Levy process with Brownian weight rho1*rho_check and
@@ -405,7 +384,7 @@ def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator, *,
     """
     mix = math.sqrt(1.0 - spec.rho_check**2)
     continuous = LevySpec(rho1=spec.rho1 * spec.rho_check, rho2=spec.rho1 * mix)
-    inc = simulate_levy(continuous, n, M, rng, fold=fold).increments
+    inc = simulate_levy(continuous, n, M, rng, fold=fold)
     times = _renewal_times(spec.tau_dist, n, rng)
     marks = (
         rng.integers(0, 2, size=times.size) * 2.0 - 1.0
@@ -416,7 +395,7 @@ def simulate_semimarkov(spec: SemiMarkovSpec, n: int, M: int, rng: Generator, *,
     if fold:
         idx %= M
     inc += spec.rho2 * np.bincount(idx, weights=marks, minlength=inc.size)
-    return NoisePath(inc, n, M, folded=fold)
+    return inc
 
 
 def _renewal_times(tau: TauDist, horizon: float, rng: Generator) -> np.ndarray:
@@ -437,9 +416,10 @@ def _renewal_times(tau: TauDist, horizon: float, rng: Generator) -> np.ndarray:
 
 
 def simulate(spec: NoiseSpec, n: int, M: int, rng: Generator, *,
-             fold: bool = True) -> NoisePath:
-    """Dispatch on the spec type; the fold by default, the full path with
-    fold=False."""
+             fold: bool = True) -> np.ndarray:
+    """Noise of spec on [0, n], M cells per unit time, dispatched on the spec
+    type: the fold, an (M,) float64 array of per-period sums, by default, or
+    the full path, the (n*M,) array of cell increments, with fold=False."""
     if isinstance(spec, LevySpec):
         return simulate_levy(spec, n, M, rng, fold=fold)
     if isinstance(spec, OuSpec):

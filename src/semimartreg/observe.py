@@ -27,7 +27,6 @@ from .signal import Signal, synthesize
 
 __all__ = [
     "ObservationPath",
-    "FourierEstimates",
     "signal_increments",
     "aliased",
     "estimate_fourier",
@@ -54,23 +53,6 @@ class ObservationPath:
         object.__setattr__(self, "dy", arr)
 
 
-@dataclass(frozen=True)
-class FourierEstimates:
-    """Coefficient estimates theta_hat_1..theta_hat_J from a path on [0, n]."""
-
-    theta_hat: np.ndarray
-    n: int
-    J: int
-
-    def __post_init__(self):
-        arr = np.asarray(self.theta_hat, dtype=np.float64)
-        if arr.size != self.J:
-            raise ValueError("theta_hat length must equal J")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("estimates must be finite")
-        object.__setattr__(self, "theta_hat", arr)
-
-
 def signal_increments(signal: Signal, n: int, M: int) -> np.ndarray:
     """Deterministic part of dy over n*M cells: the midpoint rule for the
     integral of S over each cell, S at the cell midpoint times the width 1/M.
@@ -94,8 +76,9 @@ def _half_cell_phase(top: int, M: int) -> np.ndarray:
     return phase
 
 
-def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
-    """theta_hat_j = (1/n) sum_i Tr_j(t_i) dy_i with t_i the cell midpoints.
+def estimate_fourier(path: ObservationPath, J: int) -> np.ndarray:
+    """The (J,) array of theta_hat_j = (1/n) sum_i Tr_j(t_i) dy_i, j = 1..J,
+    with t_i the cell midpoints.
 
     With G_k = e^{-i pi k/M} rfft(dy)_k = sum_i dy_i e^{-2 pi i k t_i}, the
     estimates are G_0/n for j = 1, and sqrt(2) Re G_k/n (j = 2k) and
@@ -114,11 +97,11 @@ def estimate_fourier(path: ObservationPath, J: int) -> FourierEstimates:
     theta[0] = g[0].real
     theta[1::2] = _SQRT2 * g[1:].real
     theta[2::2] = -_SQRT2 * g[1 : (J + 1) // 2].imag
-    return FourierEstimates(theta / path.n, path.n, J)
+    return theta / path.n
 
 
 def estimate_variance_proxy(path: ObservationPath,
-                            estimates: Optional[FourierEstimates] = None) -> float:
+                            estimates: Optional[np.ndarray] = None) -> float:
     """Tail sum of squared trigonometric estimates, j from [sqrt(n)]+1 to n.
 
     estimates, when given, are the first J >= n estimates from path, which
@@ -127,8 +110,7 @@ def estimate_variance_proxy(path: ObservationPath,
         raise ValueError("variance proxy needs horizon n >= 4")
     if estimates is None:
         estimates = estimate_fourier(path, path.n)
-    elif estimates.n != path.n or estimates.J < path.n:
-        raise ValueError(f"the proxy reads n={path.n} estimates from a path on [0, {path.n}], "
-                         f"got {estimates.J} from one on [0, {estimates.n}]")
+    elif estimates.size < path.n:
+        raise ValueError(f"the proxy reads n={path.n} estimates, got {estimates.size}")
     j0 = math.isqrt(path.n)
-    return float(np.sum(estimates.theta_hat[j0 : path.n] ** 2))
+    return float(np.sum(estimates[j0 : path.n] ** 2))

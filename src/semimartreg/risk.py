@@ -142,7 +142,7 @@ class ProjectionPipeline:
     m: int
 
     def __call__(self, path: ObservationPath) -> np.ndarray:
-        return estimate_fourier(path, self.m).theta_hat
+        return estimate_fourier(path, self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,16 +157,15 @@ class SelectionPipeline:
     def build(cls, n: int, sigma_star: float, delta: float, *,
               sigma_known: Optional[float] = None, members: Optional[Sequence[NoiseSpec]] = None,
               rho_lower: Optional[float] = None, a_max: Optional[float] = None, d: Optional[int] = None,
-              r_star: Optional[float] = None, l_star: Optional[float] = None):
+              r_star: Optional[float] = None):
         """The selector at horizon n: the grid for sigma_star, and the
         shrinkage that covers the noise specs in members when they are given
-        (d, r_star and l_star override its defaults)."""
+        (d and r_star override its defaults)."""
         grid = build_grid_for(n, sigma_star)
         shrink_cfg = None
         if members is not None:
             shrink_cfg = make_shrinkage_config(members, grid, n, sigma_star, rho_lower,
-                                               a_max=a_max, d=d, r_star=r_star,
-                                               l_star_override=l_star)
+                                               a_max=a_max, d=d, r_star=r_star)
         return cls(grid, SelectionConfig(delta=delta, n=n, sigma_known=sigma_known), shrink_cfg)
 
     @property
@@ -189,11 +188,10 @@ class SelectionPipeline:
         sigma = self.config.sigma_known
         if sigma is None:
             sigma = estimate_variance_proxy(path, estimates)
-        return model_select(estimates.theta_hat[: self.J], self.grid, self.config, sigma,
-                            self.shrink_cfg)
+        return model_select(estimates[: self.J], self.grid, self.config, sigma, self.shrink_cfg)
 
     def __call__(self, path: ObservationPath) -> np.ndarray:
-        return self.select(path).signal.coeffs
+        return self.select(path).coeffs
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +242,7 @@ def _observe_rep(setup: _RepSetup, rep: int, k: int, s: int) -> ObservationPath:
     stream."""
     rng = derive_rng(setup.master_seed, rep)
     noise = simulate(setup.specs[k], setup.n, setup.M, rng)
-    return ObservationPath(setup.dets[s] + noise.increments, setup.n, setup.M)
+    return ObservationPath(setup.dets[s] + noise, setup.n, setup.M)
 
 
 def _score_rep(rep: int, setup: _RepSetup, score: Callable) -> np.ndarray:
@@ -436,7 +434,7 @@ def _improvement_score(path: ObservationPath, truth: np.ndarray,
                        shrink_cfg: ShrinkageConfig) -> list:
     """Shrunk risk, shrunk - plain risk, and the head-norm identity error of
     the d head estimates."""
-    theta = estimate_fourier(path, shrink_cfg.d).theta_hat
+    theta = estimate_fourier(path, shrink_cfg.d)
     theta_star, degenerate = shrink(theta, shrink_cfg)
     risk_star, risk_plain = l2_risk_exact(np.stack([theta_star, theta]), truth)
     dev = 0.0

@@ -21,8 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .signal import Signal
-
 __all__ = [
     "WeightVector",
     "WeightGrid",
@@ -137,10 +135,11 @@ class ShrinkageConfig:
 
 @dataclass(frozen=True, eq=False)
 class SelectionResult:
-    """Selected weights and the resulting estimate, with run diagnostics."""
+    """Selected weights and the coefficients of the resulting estimate, with
+    run diagnostics."""
 
     weights: WeightVector
-    signal: Signal
+    coeffs: np.ndarray
     index: int
     cost: float
     sigma_hat: float
@@ -264,7 +263,7 @@ def model_select(
     coeffs[: w.lam.size] = w.lam * theta_star[: w.lam.size]
     return SelectionResult(
         weights=w,
-        signal=Signal(coeffs),
+        coeffs=coeffs,
         index=idx,
         cost=float(costs[idx]),
         sigma_hat=float(sigma_hat),
@@ -322,7 +321,6 @@ def make_shrinkage_config(
     a_max: Optional[float] = None,
     d: Optional[int] = None,
     r_star: Optional[float] = None,
-    l_star_override: Optional[float] = None,
 ) -> ShrinkageConfig:
     """Assemble the shrinkage configuration that covers every noise spec in
     members, with the documented defaults.
@@ -340,14 +338,11 @@ def make_shrinkage_config(
     dim = max(1, max(w.d for w in grid.members)) if d is None else int(d)
     rs = math.log(n + 1.0) if r_star is None else float(r_star)
     v_n = minimax_rate_vn(n, sigma_star)
-    if l_star_override is not None:
-        ls = float(l_star_override)
-    else:
-        try:
-            ls = min(l_star(m.family, dim, rho_lower, a_max) for m in members)
-        except ValueError as exc:
-            warnings.warn(f"shrinkage disabled: {exc}", stacklevel=2)
-            ls = 0.0
+    try:
+        ls = min(l_star(m.family, dim, rho_lower, a_max) for m in members)
+    except ValueError as exc:
+        warnings.warn(f"shrinkage disabled: {exc}", stacklevel=2)
+        ls = 0.0
     return ShrinkageConfig(d=dim, l_star=ls, r_star=rs, v_n=v_n, n=n)
 
 

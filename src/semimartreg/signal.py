@@ -8,7 +8,6 @@ the Fourier-side ellipsoid sum(a_j * theta_j^2) <= r.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -17,10 +16,8 @@ import numpy as np
 __all__ = [
     "Signal",
     "SobolevBallSpec",
-    "trig_basis",
     "basis_matrix",
     "synthesize",
-    "fourier_coeffs",
     "sample_sobolev",
     "sobolev_norm",
     "ellipsoid_coeffs",
@@ -51,14 +48,6 @@ class Signal:
         """Squared L2 norm over one period (Parseval)."""
         return float(np.sum(self.coeffs**2))
 
-    def to_json(self) -> str:
-        return json.dumps({"coeffs": self.coeffs.tolist()})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Signal":
-        data = json.loads(text)
-        return cls(np.asarray(data["coeffs"], dtype=np.float64))
-
 
 @dataclass(frozen=True)
 class SobolevBallSpec:
@@ -80,25 +69,6 @@ class SobolevBallSpec:
         object.__setattr__(self, "r", float(self.r))
 
 
-def trig_basis(j: int, t):
-    """Evaluate the j-th trigonometric basis element at t (scalar or array).
-
-    Tr_1 = 1; for j >= 2, Tr_j(t) = sqrt(2) cos(2 pi [j/2] t) for even j and
-    sqrt(2) sin(2 pi [j/2] t) for odd j, with [x] the integer part.
-    """
-    if int(j) != j or j < 1:
-        raise ValueError(f"basis index must be a positive integer, got {j}")
-    t = np.asarray(t, dtype=np.float64)
-    if j == 1:
-        return np.ones_like(t) if t.ndim else 1.0
-    freq = 2.0 * math.pi * (j // 2)
-    if j % 2 == 0:
-        out = _SQRT2 * np.cos(freq * t)
-    else:
-        out = _SQRT2 * np.sin(freq * t)
-    return out if t.ndim else float(out)
-
-
 def basis_matrix(J: int, t: np.ndarray) -> np.ndarray:
     """Stack Tr_1..Tr_J evaluated at the points t; shape (J, len(t))."""
     if J < 1:
@@ -118,27 +88,6 @@ def synthesize(signal: Signal, t) -> np.ndarray:
     frac = np.mod(t, 1.0)
     vals = basis_matrix(signal.basis_size, np.atleast_1d(frac)).T @ signal.coeffs
     return vals if t.ndim else float(vals[0])
-
-
-def fourier_coeffs(f, J: int, quad_points: int) -> np.ndarray:
-    """Coefficients of a 1-periodic callable by composite midpoint quadrature.
-
-    quad_points must be at least 4*J to keep the top basis frequencies well
-    clear of the quadrature Nyquist limit.
-    """
-    if J < 1:
-        raise ValueError("J must be >= 1")
-    if quad_points < 4 * J:
-        raise ValueError(
-            f"quad_points={quad_points} is below the anti-aliasing floor 4*J={4 * J}"
-        )
-    t = (np.arange(quad_points) + 0.5) / quad_points
-    vals = f(t)
-    if np.ndim(vals) == 0:  # non-vectorized callable
-        vals = np.array([f(x) for x in t], dtype=np.float64)
-    else:
-        vals = np.asarray(vals, dtype=np.float64)
-    return basis_matrix(J, t) @ vals / quad_points
 
 
 def ellipsoid_coeffs(J: int, k: int) -> np.ndarray:

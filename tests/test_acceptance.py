@@ -89,8 +89,8 @@ def test_criterion_2_martingale_moments():
         xis = np.empty((reps, J))
         for rep in range(reps):
             noise = simulate(spec, n, M, derive_rng(5150, rep))
-            path = ObservationPath(noise.increments, n, M)
-            xis[rep] = math.sqrt(n) * estimate_fourier(path, J).theta_hat
+            path = ObservationPath(noise, n, M)
+            xis[rep] = math.sqrt(n) * estimate_fourier(path, J)
         means = xis.mean(axis=0)
         ses = xis.std(axis=0, ddof=1) / math.sqrt(reps)
         worst[name] = float(np.max(np.abs(means) / ses))
@@ -112,7 +112,7 @@ def test_criterion_3_variance_proxy_rate():
         errs = np.empty(reps)
         for rep in range(reps):
             noise = simulate(spec, n, M, derive_rng(1000 + n, rep))
-            path = ObservationPath(det + noise.increments, n, M)
+            path = ObservationPath(det + noise, n, M)
             errs[rep] = abs(estimate_variance_proxy(path) - sigma_q)
         means.append(float(errs.mean()))
     ratios = [means[i + 1] / means[i] for i in range(3)]
@@ -174,13 +174,13 @@ def _paired_selection(signal, spec, n, M, grid, cfg, shrink_cfg, reps, seed):
     diffs = np.empty(reps)
     for rep in range(reps):
         noise = simulate(spec, n, M, derive_rng(seed, rep))
-        path = ObservationPath(det + noise.increments, n, M)
-        th = estimate_fourier(path, J).theta_hat
+        path = ObservationPath(det + noise, n, M)
+        th = estimate_fourier(path, J)
         sigma = cfg.sigma_known if cfg.sigma_known is not None else estimate_variance_proxy(path)
         std_res = model_select(th, grid, cfg, sigma)
         imp_res = model_select(th, grid, cfg, sigma, shrink_cfg)
-        risk_std = float(np.sum((std_res.signal.coeffs - tp) ** 2)) + tail
-        risk_imp = float(np.sum((imp_res.signal.coeffs - tp) ** 2)) + tail
+        risk_std = float(np.sum((std_res.coeffs - tp) ** 2)) + tail
+        risk_imp = float(np.sum((imp_res.coeffs - tp) ** 2)) + tail
         diffs[rep] = risk_imp - risk_std
     return float(diffs.mean()), float(diffs.std(ddof=1) / math.sqrt(reps))
 

@@ -310,6 +310,12 @@ class TestValidation:
         ("efficiency", {"k": 1, "r": 0, "n_values": [10, 20]}),
         ("shrinkage", {"d": 0}),
         ("shrinkage", {"r_star": 0}),
+        # shrinkage takes d and r_star alone; l_star is the family's bound
+        ("shrinkage", {"l_star": 1.0}),
+        ("shrinkage", {"d": 4, "head": 4}),
+        # a well-formed family beside the base config's noise
+        ("noise_family", {"members": [{"family": "levy", "rho1": 1.0, "rho2": 0.0}],
+                          "rho_lower": 0.5, "sigma_star": 1.0}),
     ])
     def test_wrongly_shaped_config_is_a_config_error(self, tmp_path, capsys, field, value):
         cfg = write_config(tmp_path, "shape.json", {
@@ -323,6 +329,34 @@ class TestValidation:
         assert f"config field '{field}" in err
         assert err.count("config field") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "oracle-check", "improve-check"])
+    def test_one_law_command_refuses_a_family_of_several(self, tmp_path, capsys, monkeypatch,
+                                                         command):
+        levy = {"family": "levy", "rho1": 1.0, "rho2": 0.0}
+        payload = {
+            "signal": {"coeffs": [0.5, 0.3, 0.2]},
+            "noise_family": {"members": [levy, {"family": "levy", "rho1": 0.8, "rho2": 0.6}],
+                             "rho_lower": 0.36, "sigma_star": 1.0},
+            "n": 20, "M": 64, "J": 8, "reps": 4, "seed": 3,
+            "sigma_source": {"known": 1.0}, "shrinkage": {"d": 4},
+        }
+        argv = [command, "--config", write_config(tmp_path, "two.json", payload),
+                "--workers", "1", "--out-dir", str(tmp_path / "o")]
+        def no_path(*args, **kwargs):
+            raise AssertionError("a path was simulated")
+
+        with monkeypatch.context() as patch:
+            TestProxyCeiling.forbid_replicates(patch)
+            patch.setattr(cli, "simulate", no_path)
+            assert run(argv) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config field 'noise_family'" in err
+        assert "got 2 members" in err
+        # a one-member family is one law
+        payload["noise_family"]["members"] = [levy]
+        write_config(tmp_path, "two.json", payload)
+        assert run(argv) == EXIT_OK
 
     @pytest.mark.parametrize("field, extra", [
         ("J", {"J": 60}),

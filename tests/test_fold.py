@@ -56,7 +56,7 @@ def folded_sums(spec, seed, fold):
     """(REPS, M) per-period sums from the folded sampler, or from the fold
     of the full path."""
     return np.array([
-        simulate(spec, N, M, derive_rng(seed, rep), fold=fold).increments.reshape(-1, M).sum(0)
+        simulate(spec, N, M, derive_rng(seed, rep), fold=fold).reshape(-1, M).sum(0)
         for rep in range(REPS)
     ])
 
@@ -71,7 +71,7 @@ def assert_same_mean(a, b, what):
 def scaled_estimates(sums):
     """(REPS, J) values of sqrt(n) theta_hat_j of each replicate's fold."""
     return np.array([
-        math.sqrt(N) * estimate_fourier(ObservationPath(row, N, M), J).theta_hat
+        math.sqrt(N) * estimate_fourier(ObservationPath(row, N, M), J)
         for row in sums
     ])
 
@@ -137,8 +137,8 @@ def test_ou_full_path_at_a_max():
     spec = OuSpec(a=-50.0, a_max=50.0, driving=LevySpec(0.8, 0.6))
     n, m = 40, 16
     for rep in range(5):
-        path = simulate_ou(spec, n, m, derive_rng(6301, rep), fold=False).increments
-        du = simulate_levy(spec.driving, n, m, derive_rng(6301, rep), fold=False).increments
+        path = simulate_ou(spec, n, m, derive_rng(6301, rep), fold=False)
+        du = simulate_levy(spec.driving, n, m, derive_rng(6301, rep), fold=False)
         assert np.all(np.isfinite(path))
         np.testing.assert_allclose(path, plain_recursion(du.reshape(n, m), spec.a),
                                    rtol=0, atol=1e-12)

@@ -7,7 +7,6 @@ import pytest
 
 from semimartreg.noise import (
     LevySpec,
-    NoisePath,
     OuSpec,
     RobustFamily,
     SemiMarkovSpec,
@@ -25,7 +24,7 @@ from semimartreg.observe import ObservationPath, _half_cell_phase, estimate_four
 
 def terminal_values(spec, n, M, reps, seed, fold=True):
     return np.array([
-        simulate(spec, n, M, derive_rng(seed, rep), fold=fold).increments.sum()
+        simulate(spec, n, M, derive_rng(seed, rep), fold=fold).sum()
         for rep in range(reps)
     ])
 
@@ -50,9 +49,9 @@ class TestLevy:
 
     def test_zero_spec_zero_path(self):
         path = simulate_levy(LevySpec(0.0, 0.0), 4, 16, derive_rng(0, 0), fold=False)
-        np.testing.assert_array_equal(path.increments, np.zeros(64))
+        np.testing.assert_array_equal(path, np.zeros(64))
         path = simulate_levy(LevySpec(0.0, 0.0), 4, 16, derive_rng(0, 0))
-        np.testing.assert_array_equal(path.increments, np.zeros(16))
+        np.testing.assert_array_equal(path, np.zeros(16))
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -92,9 +91,9 @@ class TestOu:
     def test_zero_driving_zero_path(self):
         spec = OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.0, 0.0))
         path = simulate_ou(spec, 4, 16, derive_rng(0, 0), fold=False)
-        np.testing.assert_array_equal(path.increments, np.zeros(64))
+        np.testing.assert_array_equal(path, np.zeros(64))
         path = simulate_ou(spec, 4, 16, derive_rng(0, 0))
-        np.testing.assert_array_equal(path.increments, np.zeros(16))
+        np.testing.assert_array_equal(path, np.zeros(16))
 
     def test_reversion_range_enforced(self):
         with pytest.raises(ValueError):
@@ -141,7 +140,7 @@ class TestSemiMarkov:
         for rep in range(reps):
             path = simulate_semimarkov(spec, n, 16, derive_rng(707, rep), fold=False)
             # rademacher marks have |Y| = 1, so the event count is the L1 mass
-            counts.append(np.abs(path.increments).sum())
+            counts.append(np.abs(path).sum())
         rate = np.mean(counts) / n
         assert abs(rate - 1.0) <= 0.05
 
@@ -189,8 +188,8 @@ class TestSecondMomentBound:
         vals = np.empty((reps, 6))
         for rep in range(reps):
             noise = simulate(spec, n, M, derive_rng(314, rep))
-            path = ObservationPath(noise.increments, n, M)
-            vals[rep] = (n * estimate_fourier(path, 6).theta_hat) ** 2
+            path = ObservationPath(noise, n, M)
+            vals[rep] = (n * estimate_fourier(path, 6)) ** 2
         bound = 1.1 * nominal_sigma(spec) * n
         assert np.all(vals.mean(axis=0) <= bound)
 
@@ -203,7 +202,7 @@ class TestRefinementConsistency:
         n, M, reps = 8, 32, 500
         fine_vals, coarse_vals = [], []
         for rep in range(reps):
-            fine = simulate(spec, n, 2 * M, derive_rng(111, rep)).increments
+            fine = simulate(spec, n, 2 * M, derive_rng(111, rep))
             coarse = fine.reshape(-1, 2).sum(axis=1)
             fine_vals.append(np.sum(fine) ** 2)
             coarse_vals.append(np.sum(coarse) ** 2)
@@ -244,12 +243,6 @@ class TestRobustFamily:
             RobustFamily(members=(), rho_lower=0.5, sigma_star=1.0)
 
 
-class TestNoisePath:
-    def test_length_validation(self):
-        with pytest.raises(ValueError):
-            NoisePath(np.zeros(10), n=2, M=16)
-
-
 class TestDeriveRng:
     def test_deterministic(self):
         a = derive_rng(42, 1, 2).standard_normal(4)
@@ -284,7 +277,7 @@ class TestOneStream:
         cells, width = (M, n / M) if fold else (n * M, 1.0 / M)
         path = simulate_levy(LevySpec(0.7, 0.0), n, M, derive_rng(12, 0), fold=fold)
         z = derive_rng(12, 0).standard_normal(cells)
-        np.testing.assert_array_equal(path.increments, 0.7 * math.sqrt(width) * z)
+        np.testing.assert_array_equal(path, 0.7 * math.sqrt(width) * z)
 
 
 class TestCachedConstants:
@@ -295,7 +288,7 @@ class TestCachedConstants:
         spec = ONE_OF_EACH[1]
         n, M = 12, 64
         for fold in (True, False):
-            sums = simulate(spec, n, M, derive_rng(13, 0), fold=fold).increments.reshape(-1, M)
+            sums = simulate(spec, n, M, derive_rng(13, 0), fold=fold).reshape(-1, M)
         estimate_fourier(ObservationPath(sums.sum(axis=0), n, M), 20)
         a = spec.a
         arrays = {

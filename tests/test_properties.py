@@ -58,7 +58,7 @@ def folds(draw, proxy=False):
 
 
 def assert_matches_reference(n, M, folded, J):
-    est = estimate_fourier(ObservationPath(folded, n, M), J).theta_hat
+    est = estimate_fourier(ObservationPath(folded, n, M), J)
     # |theta_hat_j| <= sqrt(2) sum|dy| / n bounds the scale of the rounding
     atol = 1e-13 * np.abs(folded).sum() / n
     np.testing.assert_allclose(est, reference_estimates(folded, n, J), rtol=0, atol=atol)
@@ -143,7 +143,7 @@ class TestComponentSwitching:
            M=st.integers(16, 128), seed=st.integers(0, 2**32 - 1), fold=st.booleans())
     def test_sum_of_single_component_paths(self, spec, n, M, seed, fold):
         def draw(s):
-            return simulate(s, n, M, derive_rng(seed, 3), fold=fold).increments
+            return simulate(s, n, M, derive_rng(seed, 3), fold=fold)
 
         both = draw(spec)
         first, second = draw(replace(spec, rho2=0.0)), draw(replace(spec, rho1=0.0))
@@ -187,7 +187,7 @@ class TestSelection:
         assert brute[res.index] <= min(brute) + scale
         assert res.cost == pytest.approx(brute[res.index], rel=1e-9, abs=scale)
         lam = grid.members[res.index].lam
-        np.testing.assert_array_equal(res.signal.coeffs,
+        np.testing.assert_array_equal(res.coeffs,
                                       np.pad(lam, (0, theta.size - lam.size)) * theta_star)
 
 

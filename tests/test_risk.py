@@ -214,18 +214,18 @@ class TestOracleReport:
         shrink_cfg = make_shrinkage_config((spec,), grid, n, 0.74, rho_lower=0.49, d=4)
         sig = Signal(np.array([0.4, 0.2]))
         noise = simulate(spec, n, M, derive_rng(77, 0))
-        path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
-        theta = estimate_fourier(path, grid.max_support()).theta_hat
+        path = ObservationPath(n * signal_increments(sig, 1, M) + noise, n, M)
+        theta = estimate_fourier(path, grid.max_support())
         sigma = estimate_variance_proxy(path)
 
         plain = SelectionPipeline(grid=grid, config=cfg)
         np.testing.assert_array_equal(
-            plain(path), model_select(theta, grid, cfg, sigma).signal.coeffs
+            plain(path), model_select(theta, grid, cfg, sigma).coeffs
         )
         improved = SelectionPipeline(grid=grid, config=cfg, shrink_cfg=shrink_cfg)
         np.testing.assert_array_equal(
             improved(path),
-            model_select(theta, grid, cfg, sigma, shrink_cfg).signal.coeffs,
+            model_select(theta, grid, cfg, sigma, shrink_cfg).coeffs,
         )
 
     def test_determinism(self):
@@ -257,7 +257,7 @@ class TestOracleReport:
         sig = Signal(truth)
         for rep in range(5):
             noise = simulate(LevySpec(0.7, 0.5), n, M, derive_rng(78, rep))
-            path = ObservationPath(n * signal_increments(sig, 1, M) + noise.increments, n, M)
+            path = ObservationPath(n * signal_increments(sig, 1, M) + noise, n, M)
             row = _oracle_score(path, truth, pipeline)
             theta_star = pipeline.select(path).theta_star
             expected = [l2_risk_exact(w.lam * theta_star, truth) for w in grid.members]
@@ -282,7 +282,7 @@ class TestOracleReport:
         sums = np.zeros(grid.nu)
         for rep in range(reps):
             noise = simulate(spec, n, M, derive_rng(seed, rep))
-            th = estimate_fourier(ObservationPath(det + noise.increments, n, M), J).theta_hat
+            th = estimate_fourier(ObservationPath(det + noise, n, M), J)
             for i, w in enumerate(grid.members):
                 sums[i] += sum((w.lam[j] * th[j] - theta[j]) ** 2 for j in range(J))
         np.testing.assert_allclose(np.asarray(rep_report.member_risks), sums / reps,

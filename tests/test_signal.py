@@ -1,4 +1,4 @@
-"""Basis, synthesis, quadrature and smoothness-ball tests."""
+"""Basis, synthesis and smoothness-ball tests."""
 
 import math
 
@@ -10,11 +10,9 @@ from semimartreg.signal import (
     SobolevBallSpec,
     basis_matrix,
     ellipsoid_coeffs,
-    fourier_coeffs,
     sample_sobolev,
     sobolev_norm,
     synthesize,
-    trig_basis,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -22,17 +20,17 @@ SQRT2 = math.sqrt(2.0)
 
 class TestTrigBasis:
     def test_constant_element(self):
-        assert trig_basis(1, 0.37) == 1.0
+        assert basis_matrix(1, [0.37])[0, 0] == 1.0
 
     def test_cosine_at_zero(self):
-        assert trig_basis(2, 0.0) == pytest.approx(SQRT2, abs=1e-12)
+        assert basis_matrix(2, [0.0])[1, 0] == pytest.approx(SQRT2, abs=1e-12)
 
     def test_sine_at_quarter(self):
-        assert trig_basis(3, 0.25) == pytest.approx(SQRT2, abs=1e-12)
+        assert basis_matrix(3, [0.25])[2, 0] == pytest.approx(SQRT2, abs=1e-12)
 
     def test_zero_index_rejected(self):
         with pytest.raises(ValueError):
-            trig_basis(0, 0.1)
+            basis_matrix(0, [0.1])
 
     def test_orthonormality_by_quadrature(self):
         # midpoint quadrature is exact for trig products below the grid Nyquist
@@ -76,11 +74,6 @@ class TestSignal:
         quad = float(np.mean(synthesize(sig, t) ** 2))
         assert quad == pytest.approx(sig.norm_sq(), abs=1e-8)
 
-    def test_json_roundtrip(self):
-        sig = Signal(np.array([0.25, -1.5]))
-        again = Signal.from_json(sig.to_json())
-        np.testing.assert_array_equal(sig.coeffs, again.coeffs)
-
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             Signal(np.array([1.0, np.inf]))
@@ -88,32 +81,6 @@ class TestSignal:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Signal(np.array([]))
-
-
-class TestFourierCoeffs:
-    def test_constant_function(self):
-        c = fourier_coeffs(lambda t: np.ones_like(t), 3, 64)
-        np.testing.assert_allclose(c, [1.0, 0.0, 0.0], atol=1e-10)
-
-    def test_pure_cosine(self):
-        c = fourier_coeffs(lambda t: SQRT2 * np.cos(2 * np.pi * t), 3, 64)
-        np.testing.assert_allclose(c, [0.0, 1.0, 0.0], atol=1e-10)
-
-    def test_parabola_against_refined_quadrature(self):
-        # oracle: the same integrals at a 10^6-point resolution
-        f = lambda t: t * (1.0 - t)
-        coarse = fourier_coeffs(f, 5, 4096)
-        t = (np.arange(1_000_000) + 0.5) / 1_000_000
-        fine = basis_matrix(5, t) @ f(t) / t.size
-        np.testing.assert_allclose(coarse, fine, atol=1e-7)
-
-    def test_aliasing_guard(self):
-        with pytest.raises(ValueError):
-            fourier_coeffs(lambda t: t, 5, 19)
-
-    def test_scalar_callable_supported(self):
-        c = fourier_coeffs(lambda t: 1.0, 2, 16)
-        np.testing.assert_allclose(c, [1.0, 0.0], atol=1e-12)
 
 
 class TestSobolev:
