@@ -30,6 +30,7 @@ from .noise import (
     LevySpec,
     NoiseSpec,
     OuSpec,
+    ReplicateStreams,
     RobustFamily,
     SemiMarkovSpec,
     TauDist,
@@ -166,7 +167,9 @@ class ExperimentConfig:
         return self.family.members[0]
 
 
-def load_config(path: str) -> ExperimentConfig:
+def load_config(path: str, seed: Optional[int] = None) -> ExperimentConfig:
+    """The validated config at path; seed, when given, replaces the config's
+    seed (see validate_config)."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
@@ -182,10 +185,14 @@ def load_config(path: str) -> ExperimentConfig:
         raise ConfigError(f"config {path!r} is not UTF-8 text: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError("config root must be a JSON object")
-    return validate_config(data, hashlib.sha256(raw).hexdigest())
+    return validate_config(data, hashlib.sha256(raw).hexdigest(), seed)
 
 
-def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
+def validate_config(data: dict, config_hash: str,
+                    seed_override: Optional[int] = None) -> ExperimentConfig:
+    """The experiment data describes.  seed_override, when given, is the
+    effective seed in place of the config's, set before a Sobolev signal is
+    drawn from it."""
     n = _num(_get(data, "n", ""), "n", lo=1, integer=True)
     M = _num(data.get("M", 256), "M", lo=16, integer=True)
     J = _num(data.get("J", n), "J", lo=1, integer=True)
@@ -194,6 +201,8 @@ def validate_config(data: dict, config_hash: str) -> ExperimentConfig:
         raise _fail("delta", f"must lie in (0, 1/3), got {delta}")
     reps = _num(data.get("reps", 500), "reps", lo=2, integer=True)
     seed = _num(data.get("seed", 0), "seed", lo=0, integer=True)
+    if seed_override is not None:
+        seed = seed_override
 
     sig = _get(data, "signal", "")
     if not isinstance(sig, dict):
@@ -457,7 +466,8 @@ def cmd_estimate(cfg: ExperimentConfig, out_dir: str, fmt: str, workers: int) ->
 def _example_selection(cfg: ExperimentConfig, pipeline: SelectionPipeline) -> dict:
     """Selection diagnostics on replication 0 of the first member, for the
     run record."""
-    setup = _rep_setup((cfg.signal,), (cfg.primary_noise(),), cfg.seed, cfg.n, cfg.M)
+    setup = _rep_setup((cfg.signal,), (cfg.primary_noise(),), ReplicateStreams(cfg.seed, 1),
+                       cfg.n, cfg.M)
     res = pipeline.select(_observe_rep(setup, 0, 0, 0))
     shrink_cfg = pipeline.shrink_cfg
     return {
@@ -556,15 +566,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError("--seed must be >= 0")
+        cfg = load_config(args.config, args.seed)
         if args.reps is not None:
             if args.reps < 2:
                 raise ConfigError("--reps must be >= 2")
             cfg.reps = args.reps
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("--seed must be >= 0")
-            cfg.seed = args.seed
         os.makedirs(args.out_dir, exist_ok=True)
         record = HANDLERS[args.command](cfg, args.out_dir, args.format, max(1, args.workers))
         record_path = os.path.join(args.out_dir, f"{args.command.replace('-', '_')}_record.json")

@@ -29,7 +29,13 @@ shifts the draws of the others.
 
 Seed-splitting contract: replication (and family-member) streams are derived
 as Generator(Philox(SeedSequence(entropy=master_seed, spawn_key=path))),
-where path is the tuple of loop indices.  `derive_rng` implements this rule.
+where path is the tuple of loop indices.  `derive_rng` implements this rule
+and is its reference.  The replicate loops reach the same streams more
+cheaply: `stream_keys` derives the Philox keys of every replicate of a
+report at once, by numpy's SeedSequence hash vectorised over the replicate
+index, and `ReplicateStreams` re-keys one generator per process for each
+path, from counter 0 with nothing buffered, so a path draws exactly what
+derive_rng(master_seed, rep) would give it.
 """
 
 from __future__ import annotations
@@ -50,6 +56,8 @@ __all__ = [
     "RobustFamily",
     "NoiseSpec",
     "derive_rng",
+    "stream_keys",
+    "ReplicateStreams",
     "simulate_levy",
     "simulate_ou",
     "simulate_semimarkov",
@@ -64,6 +72,90 @@ Y_DISTS = ("rademacher", "standard_normal")
 def derive_rng(master_seed: int, *path: int) -> Generator:
     """Counter-based generator for one task, keyed by (master_seed, path)."""
     return Generator(Philox(SeedSequence(entropy=int(master_seed), spawn_key=tuple(int(p) for p in path))))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx): a pool of 4
+# 32-bit words, hashmix and mix with these constants.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+class _HashMix:
+    """SeedSequence's hashmix: each call advances the hash constant, which
+    depends on the number of calls only, so one word may be an array of
+    32-bit values held in uint64."""
+
+    def __init__(self, const: int, mult: int):
+        self.const, self.mult = const, mult
+
+    def __call__(self, value):
+        value = value ^ self.const
+        self.const = (self.const * self.mult) & _MASK32
+        value = (value * self.const) & _MASK32
+        return value ^ (value >> 16)
+
+
+def _mix(x, y):
+    result = (_MIX_L * x - _MIX_R * y) & _MASK32
+    return result ^ (result >> 16)
+
+
+def stream_keys(master_seed: int, reps: int) -> np.ndarray:
+    """The (reps, 2) uint64 Philox keys of derive_rng(master_seed, rep) for
+    rep = 0..reps-1: SeedSequence(entropy=master_seed, spawn_key=(rep,))
+    .generate_state(2, np.uint64), with the hash run once on the words of
+    master_seed and vectorised over rep, the last entropy word."""
+    master_seed, reps = int(master_seed), int(reps)
+    if master_seed < 0:
+        raise ValueError("master_seed must be >= 0")
+    if not 0 <= reps <= 2**32:
+        raise ValueError("reps must lie in [0, 2^32]: each rep is one 32-bit word")
+    # the seed's 32-bit words, low first, zero-padded to the pool size as
+    # SeedSequence pads them when a spawn key follows
+    words = [(master_seed >> shift) & _MASK32
+             for shift in range(0, max(32, master_seed.bit_length()), 32)]
+    words += [0] * (_POOL_SIZE - len(words))
+    hashmix = _HashMix(_INIT_A, _MULT_A)
+    pool = [hashmix(w) for w in words[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    rep = np.arange(reps, dtype=np.uint64)
+    for word in (*words[_POOL_SIZE:], rep):
+        pool = [_mix(p, hashmix(word)) for p in pool]
+    out = _HashMix(_INIT_B, _MULT_B)
+    state = [out(p) for p in pool]
+    # generate_state reads its uint32 words in pairs, little-endian
+    return np.stack([state[0] | (state[1] << 32), state[2] | (state[3] << 32)], axis=-1)
+
+
+class ReplicateStreams:
+    """The streams derive_rng(master_seed, rep) of replicates rep < reps,
+    from keys derived once (`stream_keys`) and one generator that `rng`
+    re-keys for each path.
+
+    Each process works on its own copy (a pool worker receives one), so the
+    generator is never shared across processes; within a process a path
+    must make all of its draws before the next path is keyed."""
+
+    def __init__(self, master_seed: int, reps: int):
+        self.keys = stream_keys(master_seed, reps)
+        self._bitgen = Philox(0)
+        self._rng = Generator(self._bitgen)
+        # the state of a fresh Philox: counter 0, an empty buffer and no
+        # spare 32 bits; rng swaps in the key
+        self._fresh = self._bitgen.state
+
+    def rng(self, rep: int) -> Generator:
+        """The generator reset to replicate rep's key from a fresh state: it
+        draws what derive_rng(master_seed, rep) would."""
+        self._fresh["state"]["key"] = self.keys[rep]
+        self._bitgen.state = self._fresh
+        return self._rng
 
 
 @dataclass(frozen=True)
@@ -218,8 +310,8 @@ def _compound_poisson(spec: LevySpec, cells: int, width: float, rng: Generator,
 
     With periods > 0 each cell is the fold of `periods` cells of length
     width/periods, one per period, and the jumps are returned one by one as
-    (position, size): the index of the jump's cell on the period-major grid
-    of periods*cells cells, and its size."""
+    (period, cell, size): the period the jump falls in, the index of its
+    cell within the period, and its size."""
     counts = rng.poisson(spec.jump_intensity * width, size=cells)
     s = spec.jump_scale
     gaussian = spec.jump_dist == "normalized_gaussian"
@@ -228,7 +320,7 @@ def _compound_poisson(spec: LevySpec, cells: int, width: float, rng: Generator,
         period = rng.integers(0, periods, size=total)
         unit = (rng.standard_normal(total) if gaussian
                 else 2.0 * rng.integers(0, 2, size=total) - 1.0)
-        return period * cells + np.repeat(np.arange(cells), counts), s * unit
+        return period, np.repeat(np.arange(cells), counts), s * unit
     if gaussian:
         # sum of k iid N(0, s^2) is sqrt(k)*s*N(0,1)
         return np.sqrt(counts) * s * rng.standard_normal(cells)
@@ -365,8 +457,7 @@ def simulate_ou(spec: OuSpec, n: int, M: int, rng: Generator, *,
     z = rng.standard_normal(M + 1)
     F = drv.rho1 * math.sqrt(n / M) * z[:M]
     S = c_mean * float(g @ F) + drv.rho1 * math.sqrt(spread / M) * z[M]
-    pos, sizes = _compound_poisson(drv, M, n / M, rng, periods=n)
-    q, l = np.divmod(pos, M)
+    q, l, sizes = _compound_poisson(drv, M, n / M, rng, periods=n)
     F += drv.rho2 * np.bincount(l, weights=sizes, minlength=M)
     S += drv.rho2 * float(np.sum(c[q] * g[l] * sizes))
     return _ou_period(F, S, a)

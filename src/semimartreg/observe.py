@@ -36,7 +36,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservationPath:
     """The M per-period sums dy of the increments of y on [0, n]."""
 

@@ -2,9 +2,13 @@
 estimates, robust (worst-member) risk over a noise family, and the report
 generators behind the oracle, improvement and efficiency experiments.
 
-Replications are embarrassingly parallel; every replication derives its own
-counter-based stream from (master_seed, replication index), so results are
-bit-identical regardless of worker count.
+Replications are embarrassingly parallel; every replication has its own
+counter-based stream, keyed by (master_seed, replication index), so results
+are bit-identical regardless of worker count.  A report derives the keys of
+all its replicates once and carries them to the workers in its set-up
+(`noise.ReplicateStreams`); each process then re-keys its one generator for
+every path, which draws exactly what `noise.derive_rng(master_seed, rep)`,
+the reference, would.
 
 Every report is one Monte Carlo table of replicates x signals x members x
 score columns.  A score turns one observed path (its fold, the M
@@ -32,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .noise import NoiseSpec, RobustFamily, derive_rng, simulate
+from .noise import NoiseSpec, ReplicateStreams, RobustFamily, derive_rng, simulate
 from .observe import (
     ObservationPath,
     estimate_fourier,
@@ -209,7 +213,7 @@ def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray):
     diff = np.zeros(est.shape[:-1] + (max(J, theta_true.size),))
     diff[..., :J] = est
     diff[..., : theta_true.size] -= theta_true
-    risks = np.sum(diff**2, axis=-1)
+    risks = (diff**2).sum(axis=-1)
     return float(risks) if est.ndim == 1 else risks
 
 
@@ -218,29 +222,30 @@ def l2_risk_exact(est: np.ndarray, theta_true: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RepSetup:
-    """Noise members, and per signal the deterministic part of the fold
-    (n times one period of increments) and the truth."""
+    """Noise members, the replicate streams, and per signal the
+    deterministic part of the fold (n times one period of increments) and
+    the truth."""
 
     specs: tuple
     n: int
     M: int
-    master_seed: int
+    streams: ReplicateStreams
     dets: tuple
     truths: tuple
 
 
-def _rep_setup(signals, specs, master_seed: int, n: int, M: int) -> _RepSetup:
-    return _RepSetup(specs=tuple(specs), n=n, M=M, master_seed=master_seed,
+def _rep_setup(signals, specs, streams: ReplicateStreams, n: int, M: int) -> _RepSetup:
+    return _RepSetup(specs=tuple(specs), n=n, M=M, streams=streams,
                      dets=tuple(n * signal_increments(sig, 1, M) for sig in signals),
                      truths=tuple(sig.coeffs for sig in signals))
 
 
 def _observe_rep(setup: _RepSetup, rep: int, k: int, s: int) -> ObservationPath:
     """Fold of replicate rep of signal s under member k; members share the
-    stream."""
-    rng = derive_rng(setup.master_seed, rep)
+    stream, re-keyed for each path."""
+    rng = setup.streams.rng(rep)
     noise = simulate(setup.specs[k], setup.n, setup.M, rng)
     return ObservationPath(setup.dets[s] + noise, setup.n, setup.M)
 
@@ -323,7 +328,7 @@ def monte_carlo_risk(
     estimator_id: str = "estimator",
 ) -> RiskReport:
     """Mean and standard error of the exact risk over independent replications."""
-    setup = _rep_setup((signal,), (spec,), master_seed, n, M)
+    setup = _rep_setup((signal,), (spec,), ReplicateStreams(master_seed, reps), n, M)
     (table,) = _score_tables([(setup, partial(_pipeline_risk, pipeline=pipeline))], reps, workers)
     means, ses = _mean_se(table)
     return RiskReport(
@@ -349,7 +354,7 @@ def robust_risk(
     Members share the per-replication streams (common seeds), so each
     member's risk is its monte_carlo_risk exactly.
     """
-    setup = _rep_setup((signal,), family.members, master_seed, n, M)
+    setup = _rep_setup((signal,), family.members, ReplicateStreams(master_seed, reps), n, M)
     (table,) = _score_tables([(setup, partial(_pipeline_risk, pipeline=pipeline))], reps, workers)
     means, ses = _mean_se(table)
     means, ses = means[0, :, 0], ses[0, :, 0]
@@ -398,7 +403,7 @@ def oracle_report(
     """
     config = pipeline.config
     score = partial(_oracle_score, pipeline=pipeline)
-    setup = _rep_setup((signal,), (spec,), master_seed, n, M)
+    setup = _rep_setup((signal,), (spec,), ReplicateStreams(master_seed, reps), n, M)
     (table,) = _score_tables([(setup, score)], reps, workers)
     means, ses = _mean_se(table)
     means, ses = means[0, 0], ses[0, 0]
@@ -434,14 +439,14 @@ def _improvement_score(path: ObservationPath, truth: np.ndarray,
                        shrink_cfg: ShrinkageConfig) -> list:
     """Shrunk risk, shrunk - plain risk, and the head-norm identity error of
     the d head estimates."""
-    theta = estimate_fourier(path, shrink_cfg.d)
-    theta_star, degenerate = shrink(theta, shrink_cfg)
-    risk_star, risk_plain = l2_risk_exact(np.stack([theta_star, theta]), truth)
+    theta = estimate_fourier(path, shrink_cfg.d)  # the head: d estimates
+    head = math.sqrt((theta**2).sum())
+    theta_star, degenerate = shrink(theta, shrink_cfg, head)
+    risk_star, risk_plain = l2_risk_exact((theta_star, theta), truth)
+    c_n = shrink_cfg.c_n
     dev = 0.0
-    if not degenerate and shrink_cfg.c_n != 0.0:
-        head = float(np.sqrt(np.sum(theta[: shrink_cfg.d] ** 2)))
-        head_star = float(np.sqrt(np.sum(theta_star[: shrink_cfg.d] ** 2)))
-        dev = abs((head - head_star) - shrink_cfg.c_n)
+    if not degenerate and c_n != 0.0:
+        dev = abs((head - math.sqrt((theta_star**2).sum())) - c_n)
     return [risk_star, risk_star - risk_plain, dev]
 
 
@@ -466,7 +471,7 @@ def improvement_report(
     if math.sqrt(signal.norm_sq()) > shrink_cfg.r_star:
         raise ValueError("signal norm exceeds r_star; improvement bound hypothesis fails")
     score = partial(_improvement_score, shrink_cfg=shrink_cfg)
-    setup = _rep_setup((signal,), (spec,), master_seed, n, M)
+    setup = _rep_setup((signal,), (spec,), ReplicateStreams(master_seed, reps), n, M)
     (table,) = _score_tables([(setup, score)], reps, workers)
     means, ses = _mean_se(table)
     return RiskReport(
@@ -506,7 +511,7 @@ def worst_single_frequency(grid: WeightGrid, k: int, r: float, sigma: float, n: 
     J = lam.shape[1]
     a = ellipsoid_coeffs(J, k)
     theta_sq = 0.95 * r / a
-    penalty_term = sigma * np.sum(lam**2, axis=1) / n  # (nu,)
+    penalty_term = sigma * grid.lam_sq_sums / n  # (nu,)
     # member risk for budget at j: (1-lam(j))^2 theta_j^2 + sigma |lam|^2 / n
     risks = (1.0 - lam) ** 2 * theta_sq[None, :] + penalty_term[:, None]
     best_by_j = risks.min(axis=0)
@@ -541,6 +546,7 @@ def efficiency_sweep(
     if any(b <= a for a, b in zip(n_values, n_values[1:])):
         raise ValueError("n_values must be strictly increasing")
     pinsker = pinsker_constant(k, r)
+    streams = ReplicateStreams(master_seed, reps)
     jobs = []
     for i_n, n in enumerate(n_values):
         pipeline = SelectionPipeline.build(
@@ -555,7 +561,7 @@ def efficiency_sweep(
             for s in range(n_signals)
         ]
         signals.append(worst_single_frequency(pipeline.grid, k, r, family.sigma_star, n))
-        jobs.append((_rep_setup(signals, family.members, master_seed, n, M),
+        jobs.append((_rep_setup(signals, family.members, streams, n, M),
                      partial(_pipeline_risk, pipeline=pipeline)))
 
     # every horizon reads the streams of (master_seed, rep), so one map over

@@ -8,8 +8,9 @@ shrink_cfg=None: then theta_star = theta_hat and J*_n is the plain J_n,
 exactly as with a contraction budget c_n = 0.
 
 Every member's weights vanish past the grid's width, its support, so the
-grid holds them as one read-only (nu, width) array and the cost reads only
-the first width estimates.
+grid holds them as one read-only (nu, width) array, with their squares and
+the row sums of the squares, and the cost reads only the first width
+estimates.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,10 +71,13 @@ class WeightGrid:
     """Finite family Lambda of weight vectors indexed by alpha = (beta, r).
 
     lam stacks the members' weights as one read-only (nu, width) array; each
-    member's lam is a row of it."""
+    member's lam is a row of it.  lam_sq is lam**2 and lam_sq_sums its row
+    sums, the members' |lambda|^2, both read-only."""
 
     members: tuple
     lam: np.ndarray
+    lam_sq: np.ndarray
+    lam_sq_sums: np.ndarray
     k_star: int
     epsilon: float
     m: int
@@ -128,8 +133,9 @@ class ShrinkageConfig:
         if not (self.r_star > 0 and self.v_n > 0 and self.n >= 1):
             raise ValueError("r_star, v_n must be > 0 and n >= 1")
 
-    @property
+    @cached_property
     def c_n(self) -> float:
+        """Evaluated once per config; every path of a report reads it."""
         return self.l_star / ((self.r_star + math.sqrt(self.d / self.v_n)) * self.n)
 
 
@@ -201,10 +207,15 @@ def build_weight_grid(
     members = [WeightVector(lam=row, alpha=alpha, omega=omega, d=d)
                for row, alpha, omega, d in zip(lam, alphas, omegas, plateaus)]
 
+    lam_sq = lam**2
+    lam_sq_sums = lam_sq.sum(axis=1)
+    lam_sq.flags.writeable = lam_sq_sums.flags.writeable = False
     lam_star = 1.0 + max(w.weight_sum() for w in members)
     return WeightGrid(
         members=tuple(members),
         lam=lam,
+        lam_sq=lam_sq,
+        lam_sq_sums=lam_sq_sums,
         k_star=ks,
         epsilon=eps,
         m=m,
@@ -231,12 +242,11 @@ def cost_all(
         raise ValueError("weights have support beyond the available coefficient estimates")
     theta_star = theta_hat if theta_star is None else np.asarray(theta_star, dtype=np.float64)
     theta_hat, theta_star = theta_hat[:width], theta_star[:width]
-    lam_sq = lam**2
     theta_bar = theta_star * theta_hat - sigma_hat / n
     return (
-        lam_sq @ (theta_star**2)
+        grid.lam_sq @ (theta_star**2)
         - 2.0 * (lam @ theta_bar)
-        + delta * sigma_hat * lam_sq.sum(axis=1) / n
+        + delta * sigma_hat * grid.lam_sq_sums / n
     )
 
 
@@ -346,11 +356,13 @@ def make_shrinkage_config(
     return ShrinkageConfig(d=dim, l_star=ls, r_star=rs, v_n=v_n, n=n)
 
 
-def shrink(theta_hat: np.ndarray, cfg: ShrinkageConfig):
+def shrink(theta_hat: np.ndarray, cfg: ShrinkageConfig, head_norm: Optional[float] = None):
     """Contract the first d estimates by 1 - c_n/|head|.
 
     Returns (theta_star, degenerate); a zero head norm cannot be contracted,
     so the estimates come back unchanged with the degenerate flag set.
+    head_norm, when given, is that norm, |theta_hat[:d]|, from a caller that
+    reads it too and so computes it once.
     """
     theta_hat = np.asarray(theta_hat, dtype=np.float64)
     if cfg.d > theta_hat.size:
@@ -358,7 +370,8 @@ def shrink(theta_hat: np.ndarray, cfg: ShrinkageConfig):
     out = theta_hat.copy()
     if cfg.c_n == 0.0:
         return out, False
-    head_norm = float(np.sqrt(np.sum(theta_hat[: cfg.d] ** 2)))
+    if head_norm is None:
+        head_norm = float(np.sqrt(np.sum(theta_hat[: cfg.d] ** 2)))
     if head_norm == 0.0:
         return out, True
     out[: cfg.d] *= 1.0 - cfg.c_n / head_norm

@@ -26,7 +26,7 @@ __all__ = [
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Signal:
     """A 1-periodic signal given by trigonometric coefficients theta_1..theta_J."""
 

@@ -110,22 +110,25 @@ class TestDeterminism:
         assert (a / "estimate_record.json").read_bytes() == (b / "estimate_record.json").read_bytes()
 
     def test_seed_flag_overrides(self, tmp_path, monkeypatch):
-        # --seed 99 runs the config as if it said seed 99; the environment
-        # sets no seed
+        # --seed 99 runs the config as if it said seed 99, the Sobolev signal
+        # it draws included; the environment sets no seed
         monkeypatch.setenv("SEMIMART_SEED", "7")
-        records = []
-        for name, seed, flag in (("s1", 5, ["--seed", "99"]), ("s2", 99, [])):
-            cfg = write_config(tmp_path, f"{name}.json", {
-                "signal": {"coeffs": [0.4, 0.3, -0.2]},
-                "noise": {"family": "levy", "rho1": 0.5, "rho2": 0.0},
-                "n": 4, "M": 64, "J": 8, "reps": 10, "seed": seed,
-            })
-            out = tmp_path / name
-            assert run(["simulate", "--config", cfg, *flag, "--out-dir", str(out),
-                        "--workers", "1"]) == EXIT_OK
-            records.append(json.loads((out / "simulate_record.json").read_text()))
-        assert records[0]["seed"] == records[1]["seed"] == 99
-        assert records[0]["theta_hat"] == records[1]["theta_hat"]
+        signals = {"coeffs": {"coeffs": [0.4, 0.3, -0.2]},
+                   "sobolev": {"sobolev": {"k": 1, "r": 1.0, "J": 8}}}
+        for kind, signal in signals.items():
+            records = []
+            for name, seed, flag in (("s1", 5, ["--seed", "99"]), ("s2", 99, [])):
+                cfg = write_config(tmp_path, f"{kind}_{name}.json", {
+                    "signal": signal,
+                    "noise": {"family": "levy", "rho1": 0.5, "rho2": 0.0},
+                    "n": 4, "M": 64, "J": 8, "reps": 10, "seed": seed,
+                })
+                out = tmp_path / kind / name
+                assert run(["simulate", "--config", cfg, *flag, "--out-dir", str(out),
+                            "--workers", "1"]) == EXIT_OK
+                records.append(json.loads((out / "simulate_record.json").read_text()))
+            assert records[0]["seed"] == records[1]["seed"] == 99, kind
+            assert records[0]["theta_hat"] == records[1]["theta_hat"], kind
 
 
 class TestEstimate:

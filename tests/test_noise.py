@@ -8,6 +8,7 @@ import pytest
 from semimartreg.noise import (
     LevySpec,
     OuSpec,
+    ReplicateStreams,
     RobustFamily,
     SemiMarkovSpec,
     TauDist,
@@ -17,6 +18,7 @@ from semimartreg.noise import (
     simulate_levy,
     simulate_ou,
     simulate_semimarkov,
+    stream_keys,
 )
 from semimartreg.noise import _chunk_scales, _free_decay, _ou_fold_moments, _ou_weights
 from semimartreg.observe import ObservationPath, _half_cell_phase, estimate_fourier
@@ -260,6 +262,76 @@ ONE_OF_EACH = [
     OuSpec(a=-0.5, a_max=1.0, driving=LevySpec(0.8, 0.6)),
     SemiMarkovSpec(0.8, 0.42, 0.5, TauDist.exponential(0.5)),
 ]
+
+
+# seeds of one to seven 32-bit words, and the master seed the improve-ou
+# benchmark workload writes into its config at benchmark seed 801
+KEY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 5, 2**200 + 99, 1119653746]
+
+
+def draw_each_kind(rng):
+    """One draw of every kind the samplers make."""
+    return [
+        rng.standard_normal(5),
+        rng.poisson(0.4, size=7),
+        rng.integers(0, 100, size=6),
+        rng.integers(0, 2, size=9),
+        rng.exponential(0.5, size=4),
+        rng.uniform(0.2, 1.5, size=4),
+        rng.binomial(np.array([0, 3, 40, 900]), 0.5),
+        rng.standard_normal(3),
+    ]
+
+
+class TestReplicateStreams:
+    """stream_keys and ReplicateStreams reach the streams of derive_rng, the
+    reference, without building a SeedSequence per path."""
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_keys_are_the_seed_sequence_state(self, seed):
+        reps = 1500
+        keys = stream_keys(seed, reps)
+        assert keys.shape == (reps, 2) and keys.dtype == np.uint64
+        expected = np.array([
+            np.random.SeedSequence(entropy=seed, spawn_key=(rep,)).generate_state(2, np.uint64)
+            for rep in range(reps)
+        ])
+        np.testing.assert_array_equal(keys, expected)
+
+    @pytest.mark.parametrize("seed", KEY_SEEDS)
+    def test_rekeyed_draws_match_derive_rng(self, seed):
+        streams = ReplicateStreams(seed, 40)
+        for rep in (0, 1, 17, 39):
+            got, want = draw_each_kind(streams.rng(rep)), draw_each_kind(derive_rng(seed, rep))
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b)
+
+    def test_rekey_discards_buffered_bits(self):
+        # a 32-bit draw leaves half a word and three words of Philox output
+        # behind; the next path must not start from them
+        streams = ReplicateStreams(7, 3)
+        rng = streams.rng(0)
+        rng.random(dtype=np.float32)
+        state = rng.bit_generator.state
+        assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+        for a, b in zip(draw_each_kind(streams.rng(1)), draw_each_kind(derive_rng(7, 1))):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_paths_match_derive_rng(self, fold):
+        # each path follows another path on the same generator
+        streams = ReplicateStreams(2024, 6)
+        for rep in range(6):
+            for spec in ONE_OF_EACH:
+                got = simulate(spec, 8, 32, streams.rng(rep), fold=fold)
+                want = simulate(spec, 8, 32, derive_rng(2024, rep), fold=fold)
+                np.testing.assert_array_equal(got, want)
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            stream_keys(-1, 4)
+        with pytest.raises(ValueError):
+            stream_keys(0, -1)
 
 
 class TestOneStream:

@@ -7,6 +7,7 @@ import pytest
 
 from cost_reference import cost, penalty
 from semimartreg.noise import LevySpec, OuSpec
+from semimartreg.observe import ObservationPath
 from semimartreg.select import (
     SelectionConfig,
     ShrinkageConfig,
@@ -20,6 +21,7 @@ from semimartreg.select import (
     shrink,
     tau_beta,
 )
+from semimartreg.signal import Signal
 
 
 class TestRates:
@@ -86,6 +88,14 @@ class TestWeightGrid:
         assert a == a
         assert (a == b) is False
         assert (a.members[0] == b.members[0]) is False
+
+    def test_signals_and_paths_compare_by_identity(self):
+        a, b = Signal(np.ones(3)), Signal(np.ones(3))
+        assert a == a
+        assert (a == b) is False
+        p, q = ObservationPath(np.zeros(16), 2, 16), ObservationPath(np.zeros(16), 2, 16)
+        assert p == p
+        assert (p == q) is False
 
     @staticmethod
     def length_n_member(n, sigma_star, beta, r):
